@@ -24,7 +24,7 @@ from frisim.codebook import (Codebook, DistanceMatrix, effective_size,
 from frisim.config import ConfigError, ExperimentConfig, config_hash, load_config
 from frisim.detection import (BerEstimate, SignalModel, detect_index,
                               noise_for_snr_db, pairwise_error_prob, q_function,
-                              simulate_ber, union_bound)
+                              simulate_ber, simulate_ber_curve, union_bound)
 from frisim.geometry import (ApertureGrid, CandidateSet, Configuration,
                              GranularityMode, InfeasibleConstraintError,
                              UnitPartition, build_grid, config_from_units,
@@ -59,5 +59,6 @@ __all__ = [
     "reproduce_scenario_b", "response_distance", "run_ber", "run_pipeline",
     "run_sweep", "save_candidate_set", "save_codebook", "save_response_map",
     "select_layout_maxmin", "select_maxmin_exact", "select_maxmin_greedy",
-    "select_random", "simulate_ber", "union_bound", "unit_centroids",
+    "select_random", "simulate_ber", "simulate_ber_curve", "union_bound",
+    "unit_centroids",
 ]

@@ -79,17 +79,22 @@ def pairwise_distances(response_map: ResponseMap) -> DistanceMatrix:
     """All-pairs response distances, computed by direct differencing.
 
     Direct differencing (rather than a Gram-matrix expansion) keeps each entry
-    bit-identical to response_distance on the same rows.
+    bit-identical to response_distance on the same rows. Only the upper
+    triangle is computed; the difference of a pair only changes sign when the
+    pair is swapped, so the mirrored entries are exact.
     """
     values = response_map.values
     m = len(response_map)
     out = np.empty((m, m))
-    # Bound the broadcast temporary to a few hundred MB regardless of M.
-    chunk = max(1, (1 << 22) // max(1, m * values.shape[1]))
+    # Row blocks of about 1 MB of complex differences keep the temporaries
+    # small and the work close to half of the full matrix.
+    chunk = max(1, (1 << 16) // max(1, m * values.shape[1]))
     for start in range(0, m, chunk):
         stop = min(m, start + chunk)
-        diff = values[start:stop, None, :] - values[None, :, :]
-        out[start:stop] = np.sum(diff.real ** 2 + diff.imag ** 2, axis=-1)
+        diff = values[start:stop, None, :] - values[None, start:, :]
+        block = np.sum(diff.real ** 2 + diff.imag ** 2, axis=-1)
+        out[start:stop, start:] = block
+        out[start:, start:stop] = block.T
     np.fill_diagonal(out, 0.0)
     return DistanceMatrix(values=out, domain_tag=DOMAIN_RESPONSE)
 
@@ -103,7 +108,8 @@ def layout_distances(candidates: CandidateSet) -> DistanceMatrix:
     return DistanceMatrix(values=out, domain_tag=DOMAIN_LAYOUT)
 
 
-def _subset_d_min(values: np.ndarray, members) -> float:
+def subset_d_min(values: np.ndarray, members) -> float:
+    """Smallest pairwise entry of ``values`` among ``members``."""
     idx = list(members)
     sub = values[np.ix_(idx, idx)]
     iu = np.triu_indices(len(idx), k=1)
@@ -148,7 +154,7 @@ def select_maxmin_greedy(distances: DistanceMatrix, k: int) -> Codebook:
     return Codebook(
         members=tuple(members),
         selection_method=METHOD_GREEDY,
-        d_min=_subset_d_min(distances.values, members),
+        d_min=subset_d_min(distances.values, members),
         bit_width=math.log2(k),
     )
 
@@ -167,7 +173,7 @@ def select_maxmin_exact(distances: DistanceMatrix, k: int) -> Codebook:
     best_members: tuple[int, ...] | None = None
     best_d = -np.inf
     for combo in itertools.combinations(range(m), k):
-        d = _subset_d_min(values, combo)
+        d = subset_d_min(values, combo)
         if d > best_d:
             best_d = d
             best_members = combo
@@ -190,7 +196,7 @@ def select_random(distances: DistanceMatrix, k: int, seed: int) -> Codebook:
     return Codebook(
         members=members,
         selection_method=METHOD_RANDOM,
-        d_min=_subset_d_min(distances.values, members),
+        d_min=subset_d_min(distances.values, members),
         bit_width=math.log2(k),
         seed=int(seed),
     )

@@ -185,7 +185,9 @@ def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
     """Return every constraint violation; empty means the config is runnable.
 
     ``for_ber`` additionally requires each mode's candidate space to hold at
-    least ``k`` configurations, since BER runs do not cap the codebook size.
+    least ``k`` configurations, since BER runs do not cap the codebook size,
+    and relaxes ``run.trials`` to >= 0, since a zero-trial BER run still
+    designs codebooks. The sweep needs at least one trial.
     """
     problems: list[str] = []
     c = config
@@ -222,8 +224,9 @@ def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
         problems.append(f"codebook.k must be >= 2, got {c.k}")
     if not c.snr_db:
         problems.append("noise.snr_db must list at least one point")
-    if c.trials < 0:
-        problems.append(f"run.trials must be >= 0, got {c.trials}")
+    min_trials = 0 if for_ber else 1
+    if c.trials < min_trials:
+        problems.append(f"run.trials must be >= {min_trials}, got {c.trials}")
     if not c.seeds:
         problems.append("run.seeds must list at least one seed")
     if c.alpha_unit < 0 or c.beta_codeword < 0:

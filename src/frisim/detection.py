@@ -49,49 +49,79 @@ class BerEstimate:
                    ci95_half_width=1.96 * math.sqrt(p * (1.0 - p) / trials))
 
 
+def _embed(values: np.ndarray) -> np.ndarray:
+    """Real embedding ``[Re v, Im v]`` along the last axis, so that
+    ``Re <a, b>`` becomes the dot product of the embedded vectors."""
+    return np.concatenate((values.real, values.imag), axis=-1)
+
+
 def detect_index(y: np.ndarray, codebook_responses: np.ndarray,
                  signal: SignalModel) -> int:
-    """Index of the codeword response nearest to ``y``; ties pick the lowest."""
-    responses = np.asarray(codebook_responses)
-    diffs = y[None, :] - signal.pilot_symbol * responses
-    metric = np.sum(np.abs(diffs) ** 2, axis=1)
-    return int(np.argmin(metric))
+    """Index of the codeword response nearest to ``y``; ties pick the lowest.
+
+    Scores ``||d_i||^2 - 2 Re <y, d_i>`` in the real embedding, the same rule
+    simulate_ber_curve applies to every trial.
+    """
+    detect = _embed(signal.pilot_symbol * np.asarray(codebook_responses))
+    scores = np.sum(detect ** 2, axis=1) - 2.0 * (detect @ _embed(np.asarray(y)))
+    return int(np.argmin(scores))
 
 
-def simulate_ber(codebook: Codebook, response_map: ResponseMap, signal: SignalModel,
-                 trials: int, seed: int, truth: ResponseMap | None = None) -> BerEstimate:
-    """Monte Carlo index symbol-error rate under ML detection.
+def simulate_ber_curve(codebook: Codebook, response_map: ResponseMap, noise_levels,
+                       trials: int, seed: int, truth: ResponseMap | None = None,
+                       pilot_symbol: complex = 1.0 + 0.0j) -> list[BerEstimate]:
+    """Monte Carlo index symbol-error rate under ML detection, one estimate
+    per noise level (variance per antenna) in ``noise_levels``.
 
-    ``truth`` supplies the responses actually transmitted when the detector's
-    map is a perturbed calibration of reality; it defaults to the detector's
-    own map (matched case).
+    Common random numbers: the transmitted indices and the unit noise are
+    drawn once and every level scales the same noise by ``sqrt(n0 / 2)``. In
+    the matched case the error count therefore never grows as the noise level
+    falls, and the estimates of one call are correlated. ``truth`` supplies
+    the responses actually transmitted when the detector's map is a perturbed
+    calibration of reality; it defaults to the detector's own map.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    for n0 in noise_levels:
+        if not (n0 > 0):
+            raise ValueError(f"noise_n0 must be positive, got {n0}")
+    scales = np.sqrt(np.asarray(noise_levels, dtype=float) / 2.0)
     members = list(codebook.members)
     k = len(members)
-    detect = signal.pilot_symbol * response_map.values[members]
-    source = detect if truth is None else signal.pilot_symbol * truth.values[members]
-    energies = np.sum(np.abs(detect) ** 2, axis=1)
-    detect_conj_t = detect.conj().T
-    r = detect.shape[1]
-    noise_scale = np.sqrt(signal.noise_n0 / 2.0)
+    r = response_map.values.shape[1]
+    detect = _embed(pilot_symbol * response_map.values[members])
+    source = (detect if truth is None
+              else _embed(pilot_symbol * truth.values[members]))
+    # With y = s_t + c z, the score ||d_i||^2 - 2 <y, d_i> splits into a part
+    # fixed by the transmitted index t (row t of ``offsets``) and c times a
+    # noise projection shared by every level.
+    offsets = np.sum(detect ** 2, axis=1)[None, :] - 2.0 * (source @ detect.T)
+    detect_re_t = detect[:, :r].T
+    detect_im_t = detect[:, r:].T
 
     rng = np.random.default_rng(seed)
-    errors = 0
+    errors = np.zeros(len(scales), dtype=np.int64)
     done = 0
     while done < trials:
         n = min(_BATCH, trials - done)
         true_idx = rng.integers(0, k, size=n)
-        noise = noise_scale * (rng.standard_normal((n, r))
-                               + 1j * rng.standard_normal((n, r)))
-        y = source[true_idx] + noise
-        # argmin ||y - d_i||^2 == argmin (||d_i||^2 - 2 Re <y, d_i>)
-        scores = energies[None, :] - 2.0 * np.real(y @ detect_conj_t)
-        decided = np.argmin(scores, axis=1)
-        errors += int(np.count_nonzero(decided != true_idx))
+        # Real parts, then imaginary parts: the stream order of a complex draw.
+        noise = rng.standard_normal((2, n, r))
+        base = offsets[true_idx]
+        proj = -2.0 * (noise[0] @ detect_re_t + noise[1] @ detect_im_t)
+        for j, scale in enumerate(scales):
+            decided = np.argmin(base + scale * proj, axis=1)
+            errors[j] += np.count_nonzero(decided != true_idx)
         done += n
-    return BerEstimate.from_counts(trials=trials, errors=errors)
+    return [BerEstimate.from_counts(trials=trials, errors=int(e)) for e in errors]
+
+
+def simulate_ber(codebook: Codebook, response_map: ResponseMap, signal: SignalModel,
+                 trials: int, seed: int, truth: ResponseMap | None = None) -> BerEstimate:
+    """Monte Carlo index symbol-error rate at one noise level; see
+    simulate_ber_curve."""
+    return simulate_ber_curve(codebook, response_map, [signal.noise_n0], trials, seed,
+                              truth, signal.pilot_symbol)[0]
 
 
 def q_function(x: float) -> float:

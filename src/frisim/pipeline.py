@@ -18,9 +18,12 @@ from frisim.codebook import (METHOD_EXACT, METHOD_FIXED_RIS, METHOD_GREEDY,
                              METHOD_LAYOUT, METHOD_RANDOM, Codebook, DistanceMatrix,
                              layout_distances, pairwise_distances, save_codebook,
                              select_layout_maxmin, select_maxmin_exact,
-                             select_maxmin_greedy, select_random)
+                             select_maxmin_greedy, select_random, subset_d_min)
 from frisim.config import ConfigError, ExperimentConfig, config_hash, require_valid
-from frisim.detection import BerEstimate, SignalModel, noise_for_snr_db, simulate_ber
+# simulate_ber is not called here; the binding stays because the benchmark's
+# tracer (perfbench/tracing.py) and its tests look it up on this module.
+from frisim.detection import (BerEstimate, noise_for_snr_db, simulate_ber,  # noqa: F401
+                              simulate_ber_curve)
 from frisim.geometry import (CandidateSet, GranularityMode, InfeasibleConstraintError,
                              build_grid, default_min_unit_spacing, enumerate_candidates,
                              partition, save_candidate_set)
@@ -139,6 +142,15 @@ def read_table(path) -> ResultTable:
                        metadata=tuple(metadata))
 
 
+def _error_table(rows: list[tuple], metadata) -> ResultTable:
+    """Error manifest; each free-text message (last column) is flattened to one
+    line without commas or ``#``, so no message can corrupt the CSV."""
+    clean = tuple(
+        row[:-1] + (" ".join(str(row[-1]).replace(",", ";").replace("#", " ").split()),)
+        for row in rows)
+    return ResultTable(SCHEMA_ERRORS, ERROR_COLUMNS, clean, metadata)
+
+
 def _base_metadata(config: ExperimentConfig,
                    extra: tuple[tuple[str, str], ...] = ()) -> tuple[tuple[str, str], ...]:
     return extra + (
@@ -166,13 +178,6 @@ def _spacing_rule(config: ExperimentConfig, mode: GranularityMode) -> float:
     if config.min_unit_spacing is None:
         return default_min_unit_spacing(mode)
     return config.min_unit_spacing
-
-
-def _d_min_of(distances: DistanceMatrix, members) -> float:
-    idx = list(members)
-    sub = distances.values[np.ix_(idx, idx)]
-    iu = np.triu_indices(len(idx), k=1)
-    return float(sub[iu].min())
 
 
 def _select_codebook(method: str, distances: DistanceMatrix,
@@ -243,12 +248,14 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
                               codebook.d_min))
         if config.trials < 1:
             return
-        mid = _METHOD_SEED_IDS[method]
-        for snr_idx, snr in enumerate(config.snr_db):
-            n0 = noise_for_snr_db(codebook, design_map, snr)
-            est = simulate_ber(
-                codebook, design_map, SignalModel(noise_n0=n0), config.trials,
-                seed=derive_seed(seed, TAG_BER, mode_idx, mid, snr_idx), truth=truth)
+        # One noise draw per cell, scaled across the SNR grid.
+        noise_levels = [noise_for_snr_db(codebook, design_map, snr)
+                        for snr in config.snr_db]
+        curve = simulate_ber_curve(
+            codebook, design_map, noise_levels, config.trials,
+            seed=derive_seed(seed, TAG_BER, mode_idx, _METHOD_SEED_IDS[method]),
+            truth=truth)
+        for snr_idx, (snr, est) in enumerate(zip(config.snr_db, curve)):
             per_seed_rows.append((seed, method, len(codebook.members), config.n_act,
                                   mode_label, snr, est.trials, est.errors, est.p_hat,
                                   est.ci95_half_width))
@@ -293,7 +300,7 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
             fixed_codebook = Codebook(
                 members=members,
                 selection_method=METHOD_FIXED_RIS,
-                d_min=_d_min_of(fixed_distances, members),
+                d_min=subset_d_min(fixed_distances.values, members),
                 bit_width=float(np.log2(len(members))),
             )
             run_cell(seed, _FIXED_MODE_INDEX, fixed_mode_label, METHOD_FIXED_RIS,
@@ -322,8 +329,7 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
                                  tuple(codebook_rows), meta),
     }
     if error_rows:
-        tables["errors"] = ResultTable(SCHEMA_ERRORS, ERROR_COLUMNS,
-                                       tuple(error_rows), meta)
+        tables["errors"] = _error_table(error_rows, meta)
     return tables
 
 
@@ -358,8 +364,7 @@ def run_sweep(config: ExperimentConfig) -> dict[str, ResultTable]:
     tables = {"sweep": ResultTable(SCHEMA_SWEEP, SWEEP_COLUMNS,
                                    tuple(sweep_rows), meta)}
     if error_rows:
-        tables["errors"] = ResultTable(SCHEMA_ERRORS, ERROR_COLUMNS,
-                                       tuple(error_rows), meta)
+        tables["errors"] = _error_table(error_rows, meta)
     return tables
 
 

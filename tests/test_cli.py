@@ -2,9 +2,11 @@
 
 import pytest
 
+from frisim import pipeline
 from frisim._version import __version__
 from frisim.cli import main
 from frisim.pipeline import read_table
+from frisim.throughput import SweepEntry
 
 SMALL_CONFIG = """
 grid.rows = 4
@@ -105,6 +107,30 @@ def test_invalid_config_exits_2(capsys, tmp_path):
     code = main(["ber", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "bogus.key" in capsys.readouterr().err
+
+
+def test_zero_trial_sweep_is_a_config_error(capsys, tmp_path, config_file):
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", str(config_file), "--out", str(out),
+                 "--trials", "0"])
+    assert code == 2
+    assert "run.trials must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_error_messages_cannot_corrupt_the_manifest(capsys, tmp_path, config_file,
+                                                    monkeypatch):
+    def failing_sweep(grid, modes, *args, **kwargs):
+        return [SweepEntry(mode=mode, error="bad mode, see #3\nsecond line")
+                for mode in modes]
+
+    monkeypatch.setattr(pipeline, "granularity_sweep", failing_sweep)
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", str(config_file), "--out", str(out)])
+    assert code == 0
+    errors = read_table(out / "errors.csv")
+    assert errors.rows == (("sweep", "element", "response_maxmin_greedy", -1,
+                            "bad mode; see 3 second line"),)
 
 
 def test_missing_config_file_exits_4(capsys, tmp_path):

@@ -67,6 +67,20 @@ def test_pairwise_distances_match_response_distance_bitwise():
     assert np.all(np.diag(d.values) == 0.0)
 
 
+@pytest.mark.parametrize("r", [1, 2, 4, 7])
+def test_pairwise_distances_across_row_blocks_match_response_distance(r):
+    # Enough candidates that the upper triangle is built in three row blocks
+    # of about 2**16 complex differences each.
+    m = int(math.sqrt(3 * (1 << 16) / r)) + 1
+    rng = np.random.default_rng(r)
+    values = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+    d = pairwise_distances(_map_of(values)).values
+    assert np.array_equal(d, d.T)
+    for i in range(m):
+        for j in range(i, m):
+            assert d[i, j] == response_distance(values[i], values[j]), (i, j)
+
+
 def test_pairwise_distances_keep_degenerate_pairs():
     values = np.array([[1 + 1j], [1 + 1j], [0j]])
     d = pairwise_distances(_map_of(values))

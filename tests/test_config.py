@@ -77,6 +77,12 @@ def test_validate_collects_multiple_violations():
         assert fragment in joined
 
 
+def test_validate_needs_trials_for_the_sweep_only():
+    zero = ExperimentConfig(trials=0)
+    assert any("run.trials must be >= 1" in p for p in validate(zero))
+    assert validate(zero, for_ber=True) == []  # a BER run still designs codebooks
+
+
 def test_validate_checks_mode_tiling_and_divisibility():
     assert any("does not tile" in p for p in
                validate(ExperimentConfig(modes=(GranularityMode.group(3, 3),))))

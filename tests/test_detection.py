@@ -9,7 +9,7 @@ from frisim.codebook import (pairwise_distances, response_distance,
 from frisim.detection import (BerEstimate, SignalModel, detect_index,
                               mean_pilot_energy, noise_for_snr_db,
                               pairwise_error_prob, q_function, simulate_ber,
-                              union_bound)
+                              simulate_ber_curve, union_bound)
 
 
 def _map_of(values) -> ResponseMap:
@@ -132,6 +132,49 @@ def test_simulate_ber_rejects_zero_trials():
     cb = select_maxmin_greedy(pairwise_distances(rmap), 2)
     with pytest.raises(ValueError):
         simulate_ber(cb, rmap, SignalModel(noise_n0=1.0), trials=0, seed=1)
+
+
+def test_simulate_ber_curve_single_level_equals_simulate_ber():
+    rmap = _random_instance(16)
+    cb = select_maxmin_greedy(pairwise_distances(rmap), 4)
+    signal = SignalModel(noise_n0=0.8, pilot_symbol=0.6 + 0.3j)
+    curve = simulate_ber_curve(cb, rmap, [signal.noise_n0], trials=20_000, seed=9,
+                               pilot_symbol=signal.pilot_symbol)
+    assert curve == [simulate_ber(cb, rmap, signal, trials=20_000, seed=9)]
+
+
+def test_simulate_ber_curve_binary_matches_q_function_at_each_level():
+    rmap = _random_instance(17, m=2, r=3)
+    cb = select_maxmin_greedy(pairwise_distances(rmap), 2)
+    xs = (0.75, 1.25, 2.0)
+    levels = [cb.d_min / (2.0 * x * x) for x in xs]
+    curve = simulate_ber_curve(cb, rmap, levels, trials=100_000, seed=11)
+    assert [est.trials for est in curve] == [100_000] * 3
+    for x, est in zip(xs, curve):
+        assert abs(est.p_hat - q_function(x)) <= 3 * est.ci95_half_width, x
+
+
+def test_simulate_ber_curve_counts_never_grow_as_noise_falls():
+    # One noise draw serves every level, so in the matched case each trial's
+    # received point moves along a ray and leaves its decision cell once.
+    # Levels 1 % apart would cross often if each level drew its own noise.
+    rmap = _random_instance(18, m=8)
+    cb = select_random(pairwise_distances(rmap), 6, seed=2)
+    levels = [2.0 * 0.99 ** i for i in range(60)]
+    errors = [est.errors for est in
+              simulate_ber_curve(cb, rmap, levels, trials=20_000, seed=12)]
+    assert errors == sorted(errors, reverse=True)
+    assert errors[0] > errors[-1]
+
+
+def test_simulate_ber_curve_validation():
+    rmap = _random_instance(19)
+    cb = select_maxmin_greedy(pairwise_distances(rmap), 2)
+    with pytest.raises(ValueError):
+        simulate_ber_curve(cb, rmap, [1.0], trials=0, seed=1)
+    with pytest.raises(ValueError):
+        simulate_ber_curve(cb, rmap, [1.0, 0.0], trials=10, seed=1)
+    assert simulate_ber_curve(cb, rmap, [], trials=10, seed=1) == []
 
 
 def test_q_function_reference_values():

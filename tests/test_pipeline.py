@@ -1,6 +1,7 @@
 """End-to-end pipeline tests: result tables, CSV round-trips, scenarios."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,6 +179,23 @@ class TestRunBer:
             first = (tmp_path / "a" / f"{name}.csv").read_bytes()
             second = (tmp_path / "b" / f"{name}.csv").read_bytes()
             assert first == second
+
+    def test_per_seed_errors_never_grow_along_the_snr_grid(self):
+        # Common noise across the SNR grid makes each (seed, method) curve
+        # monotone exactly, not only in expectation. The 0.5 dB grid puts
+        # neighbouring points close enough that independent draws would
+        # cross.
+        cfg = replace(scenario_a_config(seed_count=4, trials=2000),
+                      snr_db=tuple(-5.0 + 0.5 * i for i in range(51)))
+        curves = {}
+        for seed, method, _k, _n, _mode, snr, _t, errors, _p, _ci in (
+                run_ber(cfg)["ber_per_seed"].rows):
+            curves.setdefault((seed, method), []).append((snr, errors))
+        assert len(curves) == 16
+        for key, points in curves.items():
+            assert [snr for snr, _ in points] == sorted(cfg.snr_db)
+            errors = [e for _, e in points]
+            assert errors == sorted(errors, reverse=True), key
 
     def test_greedy_selection_dominates_on_design_distance(self):
         cfg = scenario_a_config(seed_count=20, trials=0)

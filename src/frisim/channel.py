@@ -185,6 +185,11 @@ class ResponseMap:
     values: np.ndarray  # (M, R) complex
     provenance: MapProvenance
 
+    def __post_init__(self) -> None:
+        if self.values.ndim != 2 or self.values.shape[1] < 1:
+            raise ValueError(
+                f"a response map needs shape (M, R) with R >= 1, got {self.values.shape}")
+
     def __len__(self) -> int:
         return self.values.shape[0]
 
@@ -206,16 +211,23 @@ def build_response_map(candidates: CandidateSet, realization: ChannelRealization
     """
     if estimation_error_var < 0:
         raise ValueError("estimation_error_var must be >= 0")
-    m = len(candidates)
-    r = realization.rx_antennas
-    values = np.empty((m, r), dtype=complex)
-    scale = np.sqrt(estimation_error_var / 2.0)
-    for i, cfg in enumerate(candidates.configurations):
-        h = effective_response(cfg, realization, coupling)
-        if estimation_error_var > 0:
-            rng = np.random.default_rng([seed, i])
-            h = h + scale * (rng.standard_normal(r) + 1j * rng.standard_normal(r))
-        values[i] = h
+    if realization.n_elements != coupling.n_elements:
+        raise ValueError("realization and coupling matrix have different element counts")
+    # Stacked matrix-vector products: numpy runs every stack item through the
+    # same gemv kernel as effective_response's C @ mask and drive @ cascaded,
+    # so each row is bit-identical to it. One (M, N) @ (N, N) gemm would sum
+    # in another order and move the entries in the last bits.
+    drive = np.matmul(coupling.entries[None], candidates.masks()[:, :, None])
+    values = np.matmul(drive[:, None, :, 0], realization.cascaded[None])[:, 0, :]
+    if estimation_error_var > 0:
+        m, r = values.shape
+        # One standard_normal(2r) call draws the same stream as a real-part
+        # draw followed by an imaginary-part draw of r each.
+        noise = np.empty((m, 2 * r))
+        for i in range(m):
+            noise[i] = np.random.default_rng([seed, i]).standard_normal(2 * r)
+        scale = np.sqrt(estimation_error_var / 2.0)
+        values = values + scale * (noise[:, :r] + 1j * noise[:, r:])
     provenance = MapProvenance(channel_seed=realization.seed, rho=coupling.rho,
                                kernel=coupling.kernel)
     return ResponseMap(values=values, provenance=provenance)

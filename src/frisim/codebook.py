@@ -75,36 +75,97 @@ def response_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(diff.real ** 2 + diff.imag ** 2))
 
 
+def _sum_in_reduce_order(term, lo: int, n: int) -> np.ndarray:
+    """Sum ``term(lo) .. term(lo + n - 1)`` in the order numpy's float64
+    add-reduce sums a contiguous row of length ``n``: sequentially below 8,
+    in eight interleaved partial sums up to 128, halving above that. The
+    terms are nonnegative, so starting from the first term instead of 0.0
+    changes nothing."""
+    if n < 8:
+        acc = term(lo)
+        for t in range(lo + 1, lo + n):
+            acc += term(t)
+        return acc
+    if n <= 128:
+        part = [term(lo + j) for j in range(8)]
+        full = n - n % 8
+        for i in range(8, full, 8):
+            for j in range(8):
+                part[j] += term(lo + i + j)
+        acc = ((part[0] + part[1]) + (part[2] + part[3])) + \
+              ((part[4] + part[5]) + (part[6] + part[7]))
+        for t in range(lo + full, lo + n):
+            acc += term(t)
+        return acc
+    half = n // 2
+    half -= half % 8
+    return _sum_in_reduce_order(term, lo, half) + _sum_in_reduce_order(term, lo + half, n - half)
+
+
+def _symmetric_from_row_blocks(m: int, block) -> np.ndarray:
+    """(m, m) matrix from its upper triangle: ``block(start, stop)`` gives rows
+    start:stop against columns start:, and each block is mirrored below the
+    diagonal."""
+    out = np.empty((m, m))
+    # Row blocks of about 2^15 entries keep the temporaries in cache and the
+    # work close to half of the full matrix.
+    chunk = max(1, (1 << 15) // max(1, m))
+    for start in range(0, m, chunk):
+        stop = min(m, start + chunk)
+        values = block(start, stop)
+        out[start:stop, start:] = values
+        out[start:, start:stop] = values.T
+    return out
+
+
 def pairwise_distances(response_map: ResponseMap) -> DistanceMatrix:
     """All-pairs response distances, computed by direct differencing.
 
-    Direct differencing (rather than a Gram-matrix expansion) keeps each entry
-    bit-identical to response_distance on the same rows. Only the upper
-    triangle is computed; the difference of a pair only changes sign when the
-    pair is swapped, so the mirrored entries are exact.
+    Each entry is bit-identical to response_distance on the same rows:
+    direct differencing (rather than a Gram-matrix expansion) gives the same
+    per-antenna terms, and they are added in the order np.sum adds them. Only
+    the upper triangle is computed; the difference of a pair only changes
+    sign when the pair is swapped, so the mirrored entries are exact.
     """
     values = response_map.values
-    m = len(response_map)
-    out = np.empty((m, m))
-    # Row blocks of about 1 MB of complex differences keep the temporaries
-    # small and the work close to half of the full matrix.
-    chunk = max(1, (1 << 16) // max(1, m * values.shape[1]))
-    for start in range(0, m, chunk):
-        stop = min(m, start + chunk)
-        diff = values[start:stop, None, :] - values[None, start:, :]
-        block = np.sum(diff.real ** 2 + diff.imag ** 2, axis=-1)
-        out[start:stop, start:] = block
-        out[start:, start:stop] = block.T
+    re = np.ascontiguousarray(values.real.T)
+    im = np.ascontiguousarray(values.imag.T)
+
+    def block(start: int, stop: int) -> np.ndarray:
+        def term(t: int) -> np.ndarray:
+            dr = re[t, start:stop, None] - re[t, None, start:]
+            di = im[t, start:stop, None] - im[t, None, start:]
+            dr *= dr
+            di *= di
+            dr += di
+            return dr
+        return _sum_in_reduce_order(term, 0, values.shape[1])
+
+    out = _symmetric_from_row_blocks(len(response_map), block)
     np.fill_diagonal(out, 0.0)
     return DistanceMatrix(values=out, domain_tag=DOMAIN_RESPONSE)
 
 
+# Set bits of every byte value, for popcounts of packed masks.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 def layout_distances(candidates: CandidateSet) -> DistanceMatrix:
-    """All-pairs symmetric-difference cardinalities between candidate layouts."""
-    masks = candidates.masks().astype(np.int64)
-    sizes = masks.sum(axis=1)
-    overlap = masks @ masks.T
-    out = (sizes[:, None] + sizes[None, :] - 2 * overlap).astype(float)
+    """All-pairs symmetric-difference cardinalities between candidate layouts.
+
+    Counted exactly as popcounts of XORed bit-packed masks, one mask byte at a
+    time. An integer matmul is several times slower, and a float one runs
+    multi-threaded BLAS for a product this size.
+    """
+    packed = np.ascontiguousarray(np.packbits(candidates.masks() != 0, axis=1).T)
+
+    def block(start: int, stop: int) -> np.ndarray:
+        count = np.zeros((stop - start, len(candidates) - start), dtype=np.int64)
+        for byte in packed:
+            count += _POPCOUNT.take(byte[start:stop, None] ^ byte[None, start:])
+        return count
+
+    out = _symmetric_from_row_blocks(len(candidates), block)
     return DistanceMatrix(values=out, domain_tag=DOMAIN_LAYOUT)
 
 
@@ -117,12 +178,16 @@ def subset_d_min(values: np.ndarray, members) -> float:
 
 
 def _greedy_members(values: np.ndarray, k: int) -> list[int]:
-    """Farthest-point greedy; all ties resolve to the lowest candidate id."""
-    m = values.shape[0]
-    masked = values.copy()
-    masked[np.tril_indices(m)] = -np.inf
-    first, second = np.unravel_index(int(np.argmax(masked)), masked.shape)
-    members = [int(first), int(second)]
+    """Farthest-point greedy; all ties resolve to the lowest candidate id.
+
+    ``values`` is symmetric with a zero diagonal, so the first row-major
+    maximum lies in the strict upper triangle unless every entry is zero;
+    that matrix starts from the pair (0, 1).
+    """
+    first, second = divmod(int(np.argmax(values)), values.shape[1])
+    if first == second:
+        first, second = 0, 1
+    members = [first, second]
     gap = np.minimum(values[first], values[second])
     gap[members] = -np.inf
     while len(members) < k:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -142,10 +143,13 @@ class UnitPartition:
 
 
 def partition(grid: ApertureGrid, mode: GranularityMode) -> UnitPartition:
-    """Split the grid into contiguous rectangular tiles of the mode's unit shape."""
+    """Split the grid into contiguous rectangular tiles of the mode's unit shape.
+
+    A tile that does not divide the grid raises InfeasibleConstraintError.
+    """
     gr, gc = mode.unit_rows, mode.unit_cols
     if grid.rows % gr or grid.cols % gc:
-        raise ValueError(
+        raise InfeasibleConstraintError(
             f"unit tile {gr}x{gc} does not divide grid {grid.rows}x{grid.cols}")
     units: list[frozenset[int]] = []
     for tile_r in range(grid.rows // gr):
@@ -222,10 +226,19 @@ class CandidateSet:
         return len(self.configurations)
 
     def masks(self) -> np.ndarray:
-        """(M, N) 0/1 activation masks, one row per candidate id."""
-        out = np.zeros((len(self.configurations), self.grid.n_elements))
-        for i, cfg in enumerate(self.configurations):
-            out[i, sorted(cfg.active_elements)] = 1.0
+        """(M, N) 0/1 activation masks, one row per candidate id; read-only."""
+        return self._masks
+
+    @cached_property
+    def _masks(self) -> np.ndarray:
+        configs = self.configurations
+        sizes = np.fromiter((cfg.n_act for cfg in configs), dtype=np.intp, count=len(configs))
+        elements = np.fromiter(
+            itertools.chain.from_iterable(cfg.active_elements for cfg in configs),
+            dtype=np.intp, count=int(sizes.sum()))
+        out = np.zeros((len(configs), self.grid.n_elements))
+        out[np.repeat(np.arange(len(configs)), sizes), elements] = 1.0
+        out.flags.writeable = False
         return out
 
 
@@ -262,17 +275,21 @@ def enumerate_candidates(
     centroid distances are all >= ``min_unit_spacing``. Small unit spaces are
     enumerated exhaustively (and subsampled uniformly if more than
     ``m_samples`` sets are feasible); large spaces use seeded rejection
-    sampling. Output is sorted by active-unit tuple, so candidate ids are
-    stable for a given argument/seed combination.
+    sampling, which warns when its attempt budget ends short of
+    ``m_samples``. An ``n_act`` that no whole number of units covers raises
+    InfeasibleConstraintError. Output is sorted by active-unit tuple, so
+    candidate ids are stable for a given argument/seed combination.
     """
     if m_samples < 1:
         raise ValueError(f"m_samples must be >= 1, got {m_samples}")
     if min_unit_spacing < 0:
         raise ValueError(f"min_unit_spacing must be >= 0, got {min_unit_spacing}")
+    if n_act < 1:
+        raise ValueError(f"n_act must be >= 1, got {n_act}")
     unit_size = part.unit_size
-    if n_act < 1 or n_act % unit_size:
-        raise ValueError(
-            f"n_act={n_act} is not a positive multiple of the unit size {unit_size}")
+    if n_act % unit_size:
+        raise InfeasibleConstraintError(
+            f"n_act={n_act} is not a multiple of the unit size {unit_size}")
     n_units = n_act // unit_size
     if n_units > part.unit_count:
         raise InfeasibleConstraintError(
@@ -319,6 +336,11 @@ def enumerate_candidates(
                 f"min_unit_spacing={min_unit_spacing} rejected every one of "
                 f"{attempts} sampled {n_units}-unit subsets; the spacing rule is "
                 f"the binding constraint")
+        if len(found) < m_samples:
+            warnings.warn(
+                f"rejection sampling requested {m_samples} candidates but found "
+                f"{len(found)} in {attempts} attempts; the candidate set is short",
+                stacklevel=2)
         chosen = sorted(found)
 
     configs = tuple(config_from_units(part, units) for units in chosen)

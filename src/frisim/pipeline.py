@@ -222,7 +222,7 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
             candidates = enumerate_candidates(
                 part, config.n_act, config.m_samples, _spacing_rule(config, mode),
                 seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, mode_idx))
-        except (InfeasibleConstraintError, ValueError) as exc:
+        except InfeasibleConstraintError as exc:
             error_rows.append(("candidates", mode.label, "", -1, str(exc)))
             continue
         layout = (layout_distances(candidates)

@@ -157,8 +157,9 @@ def granularity_sweep(grid: ApertureGrid, modes, n_act: int, k: int,
                       min_unit_spacing: float | None = None, kernel: str = "sinc",
                       delta_frac: float = 0.1,
                       candidate_seed: int = 1) -> list[SweepEntry]:
-    """Evaluate every mode; an infeasible mode yields an error entry and the
-    sweep continues. Output order matches the input mode order."""
+    """Evaluate every mode; an infeasible mode (InfeasibleConstraintError)
+    yields an error entry and the sweep continues, while any other error
+    propagates. Output order matches the input mode order."""
     if not seeds:
         raise ValueError("at least one estimation seed is required")
     entries: list[SweepEntry] = []
@@ -171,6 +172,6 @@ def granularity_sweep(grid: ApertureGrid, modes, n_act: int, k: int,
                 delta_frac=delta_frac,
                 candidate_seed=derive_seed(candidate_seed, idx))
             entries.append(SweepEntry(mode=mode, report=report))
-        except (InfeasibleConstraintError, ValueError) as exc:
+        except InfeasibleConstraintError as exc:
             entries.append(SweepEntry(mode=mode, error=str(exc)))
     return entries

@@ -237,6 +237,13 @@ def test_map_noise_stream_is_keyed_by_candidate_id():
     assert np.array_equal(full.values[:3], prefix.values)
 
 
+def test_response_map_needs_a_receive_antenna(tmp_path):
+    path = tmp_path / "map.txt"
+    path.write_text("seed=1\nrho=0.5\nkernel=sinc\nrx_antennas=0\ncount=2\n0\n1\n")
+    with pytest.raises(ValueError, match="R >= 1"):
+        load_response_map(path)
+
+
 def test_map_rejects_negative_noise():
     cands, real, coupling = _small_pool()
     with pytest.raises(ValueError):
@@ -251,3 +258,32 @@ def test_response_map_round_trip(tmp_path):
     loaded = load_response_map(path)
     assert np.array_equal(loaded.values, rmap.values)
     assert loaded.provenance == rmap.provenance
+
+
+def _reference_map(cands, real, coupling, var, seed):
+    """The per-candidate response map: effective_response plus, per candidate
+    id, a real-part draw then an imaginary-part draw."""
+    r = real.rx_antennas
+    rows = []
+    for i, cfg in enumerate(cands.configurations):
+        h = effective_response(cfg, real, coupling)
+        if var > 0:
+            rng = np.random.default_rng([seed, i])
+            h = h + np.sqrt(var / 2.0) * (rng.standard_normal(r)
+                                          + 1j * rng.standard_normal(r))
+        rows.append(h)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("var", [0.0, 0.05])
+@pytest.mark.parametrize("fading", ["rayleigh", "los"])
+@pytest.mark.parametrize("kernel", ["sinc", "exponential", "none"])
+def test_map_is_bit_identical_to_per_candidate_responses(kernel, fading, var):
+    grid = build_grid(8, 8, 0.5)
+    coupling = coupling_matrix(grid, 0.6, kernel)
+    real = draw_channel(grid, ChannelParams(rx_antennas=4, fading=fading, seed=5))
+    for mode, n_act in ((GranularityMode.element(), 16), (GranularityMode.group(2, 2), 16)):
+        cands = enumerate_candidates(partition(grid, mode), n_act, 96, 0.0, seed=2)
+        rmap = build_response_map(cands, real, coupling, var, seed=17)
+        expected = _reference_map(cands, real, coupling, var, 17)
+        assert rmap.values.tobytes() == expected.tobytes(), mode.label

@@ -67,11 +67,12 @@ def test_pairwise_distances_match_response_distance_bitwise():
     assert np.all(np.diag(d.values) == 0.0)
 
 
-@pytest.mark.parametrize("r", [1, 2, 4, 7])
+@pytest.mark.parametrize("r", [1, 2, 4, 7, 8, 9, 16, 17, 130])
 def test_pairwise_distances_across_row_blocks_match_response_distance(r):
-    # Enough candidates that the upper triangle is built in three row blocks
-    # of about 2**16 complex differences each.
-    m = int(math.sqrt(3 * (1 << 16) / r)) + 1
+    # np.sum adds fewer than 8 terms in sequence, up to 128 in interleaved
+    # partial sums, and more in two halves; 320 candidates make three row
+    # blocks of 2**15 entries.
+    m = 320
     rng = np.random.default_rng(r)
     values = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
     d = pairwise_distances(_map_of(values)).values
@@ -91,6 +92,19 @@ def test_pairwise_distances_keep_degenerate_pairs():
 def test_layout_distances_match_pairwise_layout_distance():
     part = partition(build_grid(4, 4, 0.5), GranularityMode.element())
     cands = enumerate_candidates(part, 4, 12, 0.0, seed=2)
+    d = layout_distances(cands)
+    for i, a in enumerate(cands.configurations):
+        for j, b in enumerate(cands.configurations):
+            assert d.values[i, j] == layout_distance(a, b)
+
+
+@pytest.mark.parametrize("rows, cols, n_act, m", [(3, 5, 4, 40), (9, 9, 20, 240)])
+def test_layout_distances_match_with_a_partial_mask_byte(rows, cols, n_act, m):
+    # 15 and 81 elements leave a partial last mask byte; 240 candidates make
+    # two row blocks.
+    part = partition(build_grid(rows, cols, 0.5), GranularityMode.element())
+    cands = enumerate_candidates(part, n_act, m, 0.0, seed=2)
+    assert len(cands) == m
     d = layout_distances(cands)
     for i, a in enumerate(cands.configurations):
         for j, b in enumerate(cands.configurations):
@@ -149,6 +163,33 @@ def test_selection_handles_identical_candidates():
     assert cb.members == (0, 1, 2)  # ties resolve to the lowest ids
     exact = select_maxmin_exact(distances, 3)
     assert exact.members == (0, 1, 2)
+
+
+def _masked_greedy_pair(values: np.ndarray) -> tuple[int, int]:
+    """First row-major maximum of the strict upper triangle."""
+    masked = values.copy()
+    masked[np.tril_indices(values.shape[0])] = -np.inf
+    first, second = np.unravel_index(int(np.argmax(masked)), masked.shape)
+    return int(first), int(second)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_greedy_seed_pair_is_the_first_upper_triangle_maximum(seed):
+    # Entries from {0, 1, 2} tie often, so the tie rule decides the pair.
+    rng = np.random.default_rng(seed)
+    m = 6
+    upper = np.triu(rng.integers(0, 3, size=(m, m)), k=1).astype(float)
+    values = upper + upper.T
+    cb = select_maxmin_greedy(DistanceMatrix(values=values, domain_tag="response"), 3)
+    assert cb.members[:2] == _masked_greedy_pair(values)
+
+
+def test_greedy_on_an_all_zero_matrix_starts_from_the_first_pair():
+    zeros = np.zeros((4, 4))
+    response = DistanceMatrix(values=zeros, domain_tag="response")
+    layout = DistanceMatrix(values=zeros, domain_tag="layout")
+    assert select_maxmin_greedy(response, 3).members == (0, 1, 2)
+    assert select_layout_maxmin(layout, _map_of(np.zeros(4)), 3).members == (0, 1, 2)
 
 
 def test_selecting_every_candidate_returns_the_full_set():

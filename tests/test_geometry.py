@@ -56,7 +56,7 @@ def test_partition_unit_counts(mode, count, size):
 
 
 def test_partition_rejects_non_dividing_tile():
-    with pytest.raises(ValueError):
+    with pytest.raises(InfeasibleConstraintError):
         partition(build_grid(8, 8, 0.5), GranularityMode.group(3, 3))
 
 
@@ -118,6 +118,28 @@ def test_enumerate_rejection_path_on_large_space():
     assert len(cands) == 256
     layouts = {tuple(sorted(c.active_elements)) for c in cands.configurations}
     assert len(layouts) == 256
+
+
+def test_enumerate_rejects_n_act_off_the_unit_size():
+    part = partition(build_grid(8, 8, 0.5), GranularityMode.group(2, 2))
+    with pytest.raises(InfeasibleConstraintError, match="multiple of the unit size 4"):
+        enumerate_candidates(part, 6, 10, 0.0, seed=1)
+    with pytest.raises(ValueError) as caught:
+        enumerate_candidates(part, 0, 10, 0.0, seed=1)
+    assert not isinstance(caught.value, InfeasibleConstraintError)
+
+
+def test_enumerate_warns_when_rejection_sampling_falls_short():
+    # 25 single-element units are sampled, not enumerated; at a pitch of 0.5
+    # only the 10 element pairs at least 2.5 apart pass the spacing rule.
+    grid = build_grid(5, 5, 0.5)
+    part = partition(grid, GranularityMode.element())
+    with pytest.warns(UserWarning, match="requested 50 candidates but found 10 in 10000 attempts"):
+        cands = enumerate_candidates(part, 2, 50, 2.5, seed=4)
+    pos = grid.positions
+    feasible = {(a, b) for a in range(25) for b in range(a + 1, 25)
+                if np.hypot(*(pos[a] - pos[b])) >= 2.5}
+    assert {tuple(sorted(c.active_elements)) for c in cands.configurations} == feasible
 
 
 def test_enumerate_is_deterministic():
@@ -222,6 +244,7 @@ def test_activation_mask_and_masks_agree():
     for i, cfg in enumerate(cands.configurations):
         assert np.array_equal(masks[i], activation_mask(cfg, 16))
         assert masks[i].sum() == cfg.n_act == 4
+    assert cands.masks() is masks and not masks.flags.writeable
 
 
 def test_config_from_units_validation():

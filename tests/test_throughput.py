@@ -126,6 +126,14 @@ def test_granularity_sweep_preserves_order_and_isolates_failures():
     assert entries[2].report is not None
 
 
+def test_granularity_sweep_raises_errors_that_are_not_infeasibility():
+    grid, channel, overhead = _base_args()
+    with pytest.raises(ValueError, match="delta"):
+        granularity_sweep(grid, (GranularityMode.element(),), 16, 8, channel,
+                          overhead, snr_db=10.0, trials=100, seeds=(1,),
+                          m_samples=32, delta_frac=-0.1)
+
+
 def test_granularity_sweep_requires_seeds():
     grid, channel, overhead = _base_args()
     with pytest.raises(ValueError):

@@ -33,8 +33,7 @@ from frisim.geometry import (ApertureGrid, CandidateSet, Configuration,
                              partition, save_candidate_set, unit_centroids)
 from frisim.pipeline import (ResultTable, design_artifacts, emit_table,
                              read_table, reproduce_scenario_a,
-                             reproduce_scenario_b, run_ber, run_pipeline,
-                             run_sweep)
+                             reproduce_scenario_b, run_ber, run_sweep)
 from frisim.throughput import (OverheadParams, SweepEntry, ThroughputReport,
                                evaluate_mode, granularity_sweep, net_throughput,
                                overhead_fraction)
@@ -56,8 +55,8 @@ __all__ = [
     "min_pairwise_spacing", "net_throughput", "noise_for_snr_db",
     "overhead_fraction", "pairwise_distances", "pairwise_error_prob",
     "partition", "q_function", "read_table", "reproduce_scenario_a",
-    "reproduce_scenario_b", "response_distance", "run_ber", "run_pipeline",
-    "run_sweep", "save_candidate_set", "save_codebook", "save_response_map",
+    "reproduce_scenario_b", "response_distance", "run_ber", "run_sweep",
+    "save_candidate_set", "save_codebook", "save_response_map",
     "select_layout_maxmin", "select_maxmin_exact", "select_maxmin_greedy",
     "select_random", "simulate_ber", "simulate_ber_curve", "union_bound",
     "unit_centroids",

@@ -233,6 +233,21 @@ def build_response_map(candidates: CandidateSet, realization: ChannelRealization
     return ResponseMap(values=values, provenance=provenance)
 
 
+def build_design_maps(candidates: CandidateSet, realization: ChannelRealization,
+                      coupling: CouplingMatrix, estimation_error_var: float,
+                      seed: int) -> tuple[ResponseMap, ResponseMap | None]:
+    """The map a design sees and the true map detection runs on.
+
+    The true map is the noiseless one; it is None when there is no
+    calibration noise, because the design map is then the truth itself.
+    """
+    design = build_response_map(candidates, realization, coupling,
+                                estimation_error_var, seed=seed)
+    if estimation_error_var == 0:
+        return design, None
+    return design, build_response_map(candidates, realization, coupling, 0.0, seed=0)
+
+
 def save_response_map(response_map: ResponseMap, path) -> None:
     prov = response_map.provenance
     lines = [

@@ -51,10 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "for reconfigurable-surface index modulation.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; the engine "
-                             "is single-threaded and values above 1 change "
-                             "nothing")
     sub = parser.add_subparsers(dest="command", required=True)
 
     design = sub.add_parser("design", help="write candidate set, response map, "
@@ -153,9 +149,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse reports its own errors
         return int(exit_.code or 0)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         if args.command == "selftest":
             return 1 if run_selftest() else 0

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from frisim.channel import ResponseMap
-from frisim.geometry import CandidateSet
+from frisim.geometry import CandidateSet, InfeasibleConstraintError
 from frisim.serialize import format_float, parse_key_value
 
 DOMAIN_RESPONSE = "response"
@@ -202,7 +202,8 @@ def _check_k(k: int, m: int) -> None:
     if k < 2:
         raise ValueError(f"a codebook needs at least 2 members, got k={k}")
     if k > m:
-        raise ValueError(f"cannot select k={k} members from {m} candidates")
+        raise InfeasibleConstraintError(
+            f"cannot select k={k} members from {m} candidates")
 
 
 def _require_domain(distances: DistanceMatrix, domain: str) -> None:
@@ -231,7 +232,7 @@ def select_maxmin_exact(distances: DistanceMatrix, k: int) -> Codebook:
     _check_k(k, m)
     n_subsets = math.comb(m, k)
     if n_subsets > EXACT_SUBSET_LIMIT:
-        raise ValueError(
+        raise InfeasibleConstraintError(
             f"exhaustive search over {n_subsets} subsets exceeds the "
             f"{EXACT_SUBSET_LIMIT} limit; use select_maxmin_greedy instead")
     values = distances.values
@@ -285,6 +286,33 @@ def select_layout_maxmin(layout: DistanceMatrix, response_map: ResponseMap,
         d_min=d_min,
         bit_width=math.log2(k),
     )
+
+
+def select_codebook(method: str, distances: DistanceMatrix,
+                    layout: DistanceMatrix | None, response_map: ResponseMap,
+                    k: int, seed: int) -> Codebook:
+    """Run the selector ``method`` names. ``layout`` is read only by
+    layout_maxmin and ``seed`` only by random; fixed_ris takes every
+    candidate. A pool too small for ``k`` raises InfeasibleConstraintError."""
+    if method == METHOD_GREEDY:
+        return select_maxmin_greedy(distances, k)
+    if method == METHOD_EXACT:
+        return select_maxmin_exact(distances, k)
+    if method == METHOD_RANDOM:
+        return select_random(distances, k, seed)
+    if method == METHOD_LAYOUT:
+        if layout is None:
+            raise ValueError("layout_maxmin needs the layout distance matrix")
+        return select_layout_maxmin(layout, response_map, k)
+    if method == METHOD_FIXED_RIS:
+        members = tuple(range(distances.size))
+        return Codebook(
+            members=members,
+            selection_method=METHOD_FIXED_RIS,
+            d_min=subset_d_min(distances.values, members),
+            bit_width=math.log2(len(members)),
+        )
+    raise ValueError(f"method {method!r} has no selector")
 
 
 def effective_size(codebook: Codebook, distances: DistanceMatrix, delta: float) -> int:

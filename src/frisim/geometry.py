@@ -266,13 +266,14 @@ def enumerate_candidates(
     part: UnitPartition,
     n_act: int,
     m_samples: int,
-    min_unit_spacing: float,
+    min_unit_spacing: float | None,
     seed: int,
 ) -> CandidateSet:
     """Generate up to ``m_samples`` distinct feasible configurations.
 
     A configuration activates ``n_act / unit_size`` units whose pairwise
-    centroid distances are all >= ``min_unit_spacing``. Small unit spaces are
+    centroid distances are all >= ``min_unit_spacing``; ``None`` applies the
+    mode's rule, ``default_min_unit_spacing(part.mode)``. Small unit spaces are
     enumerated exhaustively (and subsampled uniformly if more than
     ``m_samples`` sets are feasible); large spaces use seeded rejection
     sampling, which warns when its attempt budget ends short of
@@ -282,6 +283,8 @@ def enumerate_candidates(
     """
     if m_samples < 1:
         raise ValueError(f"m_samples must be >= 1, got {m_samples}")
+    if min_unit_spacing is None:
+        min_unit_spacing = default_min_unit_spacing(part.mode)
     if min_unit_spacing < 0:
         raise ValueError(f"min_unit_spacing must be >= 0, got {min_unit_spacing}")
     if n_act < 1:

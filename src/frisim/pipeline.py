@@ -12,32 +12,24 @@ from pathlib import Path
 import numpy as np
 
 from frisim._version import __version__
-from frisim.channel import (ChannelParams, build_response_map, coupling_matrix,
-                            draw_channel, save_response_map)
+from frisim.channel import (ChannelParams, build_design_maps, build_response_map,
+                            coupling_matrix, draw_channel, save_response_map)
 from frisim.codebook import (METHOD_EXACT, METHOD_FIXED_RIS, METHOD_GREEDY,
-                             METHOD_LAYOUT, METHOD_RANDOM, Codebook, DistanceMatrix,
+                             METHOD_LAYOUT, METHOD_RANDOM, DistanceMatrix,
                              layout_distances, pairwise_distances, save_codebook,
-                             select_layout_maxmin, select_maxmin_exact,
-                             select_maxmin_greedy, select_random, subset_d_min)
+                             select_codebook)
 from frisim.config import ConfigError, ExperimentConfig, config_hash, require_valid
 # simulate_ber is not called here; the binding stays because the benchmark's
 # tracer (perfbench/tracing.py) and its tests look it up on this module.
 from frisim.detection import (BerEstimate, noise_for_snr_db, simulate_ber,  # noqa: F401
                               simulate_ber_curve)
 from frisim.geometry import (CandidateSet, GranularityMode, InfeasibleConstraintError,
-                             build_grid, default_min_unit_spacing, enumerate_candidates,
-                             partition, save_candidate_set)
-from frisim.seeding import derive_seed
+                             build_grid, enumerate_candidates, partition,
+                             save_candidate_set)
+from frisim.seeding import (TAG_BER, TAG_CANDIDATES, TAG_CHANNEL, TAG_MAP, TAG_SELECT,
+                            TAG_SWEEP_SEEDS, derive_seed)
 from frisim.serialize import format_float
 from frisim.throughput import OverheadParams, granularity_sweep
-
-# Seed-path tags; distinct tags give independent streams for each consumer.
-TAG_CHANNEL = 1
-TAG_MAP = 2
-TAG_SELECT = 3
-TAG_BER = 4
-TAG_CANDIDATES = 5
-TAG_SWEEP_SEEDS = 7
 
 _METHOD_SEED_IDS = {
     METHOD_FIXED_RIS: 1,
@@ -174,33 +166,13 @@ def _channel_params(config: ExperimentConfig, seed: int) -> ChannelParams:
     )
 
 
-def _spacing_rule(config: ExperimentConfig, mode: GranularityMode) -> float:
-    if config.min_unit_spacing is None:
-        return default_min_unit_spacing(mode)
-    return config.min_unit_spacing
-
-
-def _select_codebook(method: str, distances: DistanceMatrix,
-                     layout: DistanceMatrix | None, design_map, k: int,
-                     seed: int) -> Codebook:
-    if method == METHOD_GREEDY:
-        return select_maxmin_greedy(distances, k)
-    if method == METHOD_EXACT:
-        return select_maxmin_exact(distances, k)
-    if method == METHOD_RANDOM:
-        return select_random(distances, k, seed)
-    if method == METHOD_LAYOUT:
-        assert layout is not None
-        return select_layout_maxmin(layout, design_map, k)
-    raise ValueError(f"method {method!r} has no selector")
-
-
 @dataclass(frozen=True)
 class _ModeContext:
-    index: int
-    mode: GranularityMode
+    index: int  # seed-path slot of the mode
+    label: str
     candidates: CandidateSet
     layout: DistanceMatrix | None
+    methods: tuple[str, ...]
 
 
 def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
@@ -208,6 +180,7 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
 
     Returns keys ``ber_per_seed``, ``ber_aggregate``, ``codebooks`` and, when
     any stage failed, ``errors``. Completed combinations are always reported.
+    The fixed_ris baseline runs as one more mode, the grid's quadrant blocks.
     """
     require_valid(config, for_ber=True)
     grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
@@ -220,104 +193,76 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
         part = partition(grid, mode)
         try:
             candidates = enumerate_candidates(
-                part, config.n_act, config.m_samples, _spacing_rule(config, mode),
+                part, config.n_act, config.m_samples, config.min_unit_spacing,
                 seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, mode_idx))
         except InfeasibleConstraintError as exc:
             error_rows.append(("candidates", mode.label, "", -1, str(exc)))
             continue
-        layout = (layout_distances(candidates)
-                  if METHOD_LAYOUT in mode_methods else None)
-        contexts.append(_ModeContext(mode_idx, mode, candidates, layout))
-
-    fixed_candidates = None
-    fixed_mode_label = ""
+        if mode_methods:
+            layout = (layout_distances(candidates)
+                      if METHOD_LAYOUT in mode_methods else None)
+            contexts.append(_ModeContext(mode_idx, mode.label, candidates, layout,
+                                         mode_methods))
     if METHOD_FIXED_RIS in config.methods:
         quad_mode = GranularityMode.block(grid.rows // 2, grid.cols // 2)
-        quad_part = partition(grid, quad_mode)
-        fixed_candidates = enumerate_candidates(quad_part, config.n_act, 4, 0.0, seed=0)
-        fixed_mode_label = quad_mode.label
+        quadrants = enumerate_candidates(partition(grid, quad_mode), config.n_act, 4,
+                                         0.0, seed=0)
+        contexts.append(_ModeContext(_FIXED_MODE_INDEX, quad_mode.label, quadrants,
+                                     None, (METHOD_FIXED_RIS,)))
 
     per_seed_rows: list[tuple] = []
     codebook_rows: list[tuple] = []
-    # (method, K, mode_label, snr_index) -> [trials, errors, snr_db]
+    # (method, mode_label, snr_index) -> [K, trials, errors]
     totals: dict[tuple, list] = {}
-
-    def run_cell(seed: int, mode_idx: int, mode_label: str, method: str,
-                 codebook: Codebook, design_map, truth) -> None:
-        codebook_rows.append((seed, method, len(codebook.members), mode_label,
-                              codebook.d_min))
-        if config.trials < 1:
-            return
-        # One noise draw per cell, scaled across the SNR grid.
-        noise_levels = [noise_for_snr_db(codebook, design_map, snr)
-                        for snr in config.snr_db]
-        curve = simulate_ber_curve(
-            codebook, design_map, noise_levels, config.trials,
-            seed=derive_seed(seed, TAG_BER, mode_idx, _METHOD_SEED_IDS[method]),
-            truth=truth)
-        for snr_idx, (snr, est) in enumerate(zip(config.snr_db, curve)):
-            per_seed_rows.append((seed, method, len(codebook.members), config.n_act,
-                                  mode_label, snr, est.trials, est.errors, est.p_hat,
-                                  est.ci95_half_width))
-            key = (method, len(codebook.members), mode_label, snr_idx)
-            cell = totals.setdefault(key, [0, 0, snr])
-            cell[0] += est.trials
-            cell[1] += est.errors
-
     for seed in config.seeds:
         params = _channel_params(config, derive_seed(seed, TAG_CHANNEL))
         realization = draw_channel(grid, params)
         for ctx in contexts:
-            design_map = build_response_map(
+            design_map, truth = build_design_maps(
                 ctx.candidates, realization, coupling, config.estimation_error_var,
                 seed=derive_seed(seed, TAG_MAP, ctx.index))
-            truth = None
-            if config.estimation_error_var > 0:
-                truth = build_response_map(ctx.candidates, realization, coupling,
-                                           0.0, seed=0)
             distances = pairwise_distances(design_map)
-            for method in mode_methods:
+            for method in ctx.methods:
                 try:
-                    codebook = _select_codebook(
+                    codebook = select_codebook(
                         method, distances, ctx.layout, design_map, config.k,
                         seed=derive_seed(seed, TAG_SELECT, ctx.index))
-                except ValueError as exc:
-                    error_rows.append(("codebook", ctx.mode.label, method, seed,
-                                       str(exc)))
+                except InfeasibleConstraintError as exc:
+                    error_rows.append(("codebook", ctx.label, method, seed, str(exc)))
                     continue
-                run_cell(seed, ctx.index, ctx.mode.label, method, codebook,
-                         design_map, truth)
-        if fixed_candidates is not None:
-            fixed_map = build_response_map(
-                fixed_candidates, realization, coupling, config.estimation_error_var,
-                seed=derive_seed(seed, TAG_MAP, _FIXED_MODE_INDEX))
-            fixed_truth = None
-            if config.estimation_error_var > 0:
-                fixed_truth = build_response_map(fixed_candidates, realization,
-                                                 coupling, 0.0, seed=0)
-            fixed_distances = pairwise_distances(fixed_map)
-            members = tuple(range(len(fixed_candidates)))
-            fixed_codebook = Codebook(
-                members=members,
-                selection_method=METHOD_FIXED_RIS,
-                d_min=subset_d_min(fixed_distances.values, members),
-                bit_width=float(np.log2(len(members))),
-            )
-            run_cell(seed, _FIXED_MODE_INDEX, fixed_mode_label, METHOD_FIXED_RIS,
-                     fixed_codebook, fixed_map, fixed_truth)
+                k = len(codebook.members)
+                codebook_rows.append((seed, method, k, ctx.label, codebook.d_min))
+                if config.trials < 1:
+                    continue
+                # One noise draw per cell, scaled across the SNR grid.
+                noise_levels = [noise_for_snr_db(codebook, design_map, snr)
+                                for snr in config.snr_db]
+                curve = simulate_ber_curve(
+                    codebook, design_map, noise_levels, config.trials,
+                    seed=derive_seed(seed, TAG_BER, ctx.index, _METHOD_SEED_IDS[method]),
+                    truth=truth)
+                for snr_idx, (snr, est) in enumerate(zip(config.snr_db, curve)):
+                    per_seed_rows.append((seed, method, k, config.n_act, ctx.label, snr,
+                                          est.trials, est.errors, est.p_hat,
+                                          est.ci95_half_width))
+                    cell = totals.setdefault((method, ctx.label, snr_idx), [k, 0, 0])
+                    cell[1] += est.trials
+                    cell[2] += est.errors
 
     aggregate_rows: list[tuple] = []
     for method in config.methods:
-        labels = ([fixed_mode_label] if method == METHOD_FIXED_RIS
-                  else [ctx.mode.label for ctx in contexts])
-        for mode_label in labels:
-            for snr_idx in range(len(config.snr_db)):
-                for key, cell in totals.items():
-                    if key[0] == method and key[2] == mode_label and key[3] == snr_idx:
-                        est = BerEstimate.from_counts(cell[0], cell[1])
-                        aggregate_rows.append((method, key[1], config.n_act, mode_label,
-                                               cell[2], est.trials, est.errors,
-                                               est.p_hat, est.ci95_half_width))
+        for ctx in contexts:
+            if method not in ctx.methods:
+                continue
+            for snr_idx, snr in enumerate(config.snr_db):
+                cell = totals.get((method, ctx.label, snr_idx))
+                if cell is None:
+                    continue
+                k, trials, errors = cell
+                est = BerEstimate.from_counts(trials, errors)
+                aggregate_rows.append((method, k, config.n_act, ctx.label, snr,
+                                       est.trials, est.errors, est.p_hat,
+                                       est.ci95_half_width))
 
     meta = _base_metadata(config)
     tables = {
@@ -368,24 +313,6 @@ def run_sweep(config: ExperimentConfig) -> dict[str, ResultTable]:
     return tables
 
 
-def run_pipeline(config: ExperimentConfig, include_ber: bool = True,
-                 include_sweep: bool = True) -> list[ResultTable]:
-    """Run the requested stages in workflow order and return every table."""
-    tables: list[ResultTable] = []
-    if include_ber:
-        ber = run_ber(config)
-        tables.extend(ber[name] for name in ("ber_per_seed", "ber_aggregate",
-                                             "codebooks") if name in ber)
-        if "errors" in ber:
-            tables.append(ber["errors"])
-    if include_sweep:
-        sweep = run_sweep(config)
-        tables.append(sweep["sweep"])
-        if "errors" in sweep:
-            tables.append(sweep["errors"])
-    return tables
-
-
 def design_artifacts(config: ExperimentConfig, out_dir) -> list[Path]:
     """Produce the design-stage artifacts: candidates, response map, codebooks."""
     require_valid(config, for_ber=True)
@@ -394,11 +321,9 @@ def design_artifacts(config: ExperimentConfig, out_dir) -> list[Path]:
                           "remove it from codebook.methods for the design command")
     grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
     coupling = coupling_matrix(grid, config.rho, config.kernel)
-    mode = config.modes[0]
-    part = partition(grid, mode)
     candidates = enumerate_candidates(
-        part, config.n_act, config.m_samples, _spacing_rule(config, mode),
-        seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, 0))
+        partition(grid, config.modes[0]), config.n_act, config.m_samples,
+        config.min_unit_spacing, seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, 0))
     seed = config.seeds[0]
     params = _channel_params(config, derive_seed(seed, TAG_CHANNEL))
     realization = draw_channel(grid, params)
@@ -415,8 +340,8 @@ def design_artifacts(config: ExperimentConfig, out_dir) -> list[Path]:
     save_candidate_set(candidates, paths[0])
     save_response_map(design_map, paths[1])
     for method in config.methods:
-        codebook = _select_codebook(method, distances, layout, design_map, config.k,
-                                    seed=derive_seed(seed, TAG_SELECT, 0))
+        codebook = select_codebook(method, distances, layout, design_map, config.k,
+                                   seed=derive_seed(seed, TAG_SELECT, 0))
         path = out / f"codebook_{method}.txt"
         save_codebook(codebook, path)
         paths.append(path)

@@ -4,6 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
+# Seed-path tags: the first path element after the run seed. Each random
+# consumer has its own tag, so no two consumers share a stream. The values
+# are part of every output's identity; changing one moves the CSVs.
+TAG_CHANNEL = 1
+TAG_MAP = 2
+TAG_SELECT = 3
+TAG_BER = 4
+TAG_CANDIDATES = 5
+TAG_SWEEP_SEEDS = 7
+TAG_SWEEP_MAP = 11
+TAG_SWEEP_BER = 12
+TAG_SWEEP_CANDIDATES = 13
+
 
 def derive_seed(*parts: int) -> int:
     """Collapse an integer path into a single RNG seed.

@@ -15,20 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from frisim.channel import (ChannelParams, build_response_map, coupling_matrix,
+from frisim.channel import (ChannelParams, build_design_maps, coupling_matrix,
                             draw_channel)
-from frisim.codebook import (Codebook, effective_size, pairwise_distances,
-                             select_maxmin_greedy)
+from frisim.codebook import effective_size, pairwise_distances, select_maxmin_greedy
 from frisim.detection import SignalModel, noise_for_snr_db, simulate_ber
 from frisim.geometry import (ApertureGrid, GranularityMode, InfeasibleConstraintError,
-                             UnitPartition, default_min_unit_spacing,
-                             enumerate_candidates, partition)
-from frisim.seeding import derive_seed
-
-# Seed-path tags keep the sweep's random consumers on independent streams.
-_TAG_MAP = 11
-_TAG_BER = 12
-_TAG_CANDIDATES = 13
+                             UnitPartition, enumerate_candidates, partition)
+from frisim.seeding import (TAG_SWEEP_BER, TAG_SWEEP_CANDIDATES, TAG_SWEEP_MAP,
+                            derive_seed)
 
 
 @dataclass(frozen=True)
@@ -104,11 +98,9 @@ def evaluate_mode(grid: ApertureGrid, mode: GranularityMode, n_act: int, k: int,
     is ``delta_frac`` times the median pairwise response distance.
     """
     part = partition(grid, mode)
-    spacing_rule = (default_min_unit_spacing(mode)
-                    if min_unit_spacing is None else min_unit_spacing)
     candidates = enumerate_candidates(
-        part, n_act, m_samples, spacing_rule,
-        seed=derive_seed(candidate_seed, _TAG_CANDIDATES))
+        part, n_act, m_samples, min_unit_spacing,
+        seed=derive_seed(candidate_seed, TAG_SWEEP_CANDIDATES))
     k_mode = min(k, len(candidates))
     if k_mode < 2:
         raise InfeasibleConstraintError(
@@ -117,9 +109,9 @@ def evaluate_mode(grid: ApertureGrid, mode: GranularityMode, n_act: int, k: int,
 
     coupling = coupling_matrix(grid, channel_params.coupling_strength, kernel)
     realization = draw_channel(grid, channel_params)
-    response_map = build_response_map(
+    response_map, truth = build_design_maps(
         candidates, realization, coupling, channel_params.estimation_error_var,
-        seed=derive_seed(channel_params.seed, _TAG_MAP))
+        seed=derive_seed(channel_params.seed, TAG_SWEEP_MAP))
     distances = pairwise_distances(response_map)
     codebook = select_maxmin_greedy(distances, k_mode)
 
@@ -127,14 +119,11 @@ def evaluate_mode(grid: ApertureGrid, mode: GranularityMode, n_act: int, k: int,
     k_eff = effective_size(codebook, distances, delta)
     oh = overhead_fraction(part, k_mode, overhead_params)
 
-    truth = None
-    if channel_params.estimation_error_var > 0:
-        truth = build_response_map(candidates, realization, coupling, 0.0, seed=0)
     n0 = noise_for_snr_db(codebook, response_map, snr_db)
     signal = SignalModel(noise_n0=n0)
     p_values = [
         simulate_ber(codebook, response_map, signal, trials,
-                     seed=derive_seed(s, _TAG_BER), truth=truth).p_hat
+                     seed=derive_seed(s, TAG_SWEEP_BER), truth=truth).p_hat
         for s in seeds
     ]
     p_e = float(np.mean(p_values))

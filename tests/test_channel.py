@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from frisim.channel import (ChannelParams, CouplingMatrix, build_response_map,
-                            coupling_matrix, draw_channel, effective_response,
+from frisim.channel import (ChannelParams, CouplingMatrix, build_design_maps,
+                            build_response_map, coupling_matrix, draw_channel, effective_response,
                             group_equivalent_response, load_response_map,
                             save_response_map)
 from frisim.geometry import (GranularityMode, build_grid, config_from_units,
@@ -212,6 +212,19 @@ def test_noiseless_map_equals_effective_response_exactly():
     for i, cfg in enumerate(cands.configurations):
         assert np.array_equal(rmap.response(i),
                               effective_response(cfg, real, coupling))
+
+
+def test_design_maps_pair_the_calibrated_map_with_the_noiseless_truth():
+    cands, real, coupling = _small_pool()
+    design, truth = build_design_maps(cands, real, coupling, 0.0, seed=3)
+    assert truth is None
+    assert np.array_equal(design.values,
+                          build_response_map(cands, real, coupling, 0.0, seed=3).values)
+    design, truth = build_design_maps(cands, real, coupling, 0.05, seed=3)
+    assert np.array_equal(design.values,
+                          build_response_map(cands, real, coupling, 0.05, seed=3).values)
+    assert np.array_equal(truth.values,
+                          build_response_map(cands, real, coupling, 0.0, seed=0).values)
 
 
 def test_map_noise_level_matches_requested_variance():

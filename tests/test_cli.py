@@ -45,17 +45,6 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_threads_below_one_is_rejected(capsys):
-    assert main(["--threads", "0", "selftest"]) == 2
-    assert "--threads" in capsys.readouterr().err
-
-
-def test_threads_above_one_is_accepted(capsys, tmp_path, config_file):
-    code = main(["--threads", "4", "sweep", "--config", str(config_file),
-                 "--out", str(tmp_path / "o"), "--trials", "50"])
-    assert code == 0
-
-
 def test_ber_writes_tables_and_applies_overrides(capsys, tmp_path, config_file):
     out = tmp_path / "ber_out"
     code = main(["ber", "--config", str(config_file), "--out", str(out),
@@ -147,6 +136,16 @@ def test_infeasible_design_exits_3(capsys, tmp_path, config_file):
     code = main(["design", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "min_unit_spacing" in capsys.readouterr().err
+
+
+def test_design_on_a_short_candidate_pool_exits_3(capsys, tmp_path, config_file):
+    path = tmp_path / "short.cfg"
+    path.write_text(SMALL_CONFIG.replace("candidates.m_samples = 40",
+                                         "candidates.m_samples = 2")
+                    .replace("codebook.k = 4", "codebook.k = 3"))
+    code = main(["design", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "cannot select k=3 members from 2 candidates" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_4(capsys, tmp_path, config_file):

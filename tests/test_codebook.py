@@ -11,11 +11,11 @@ from frisim.channel import (ChannelParams, MapProvenance, ResponseMap,
 from frisim.codebook import (Codebook, DistanceMatrix, effective_size,
                              layout_distances, load_codebook,
                              pairwise_distances, response_distance,
-                             save_codebook, select_layout_maxmin,
+                             save_codebook, select_codebook, select_layout_maxmin,
                              select_maxmin_exact, select_maxmin_greedy,
-                             select_random)
-from frisim.geometry import (GranularityMode, build_grid, enumerate_candidates,
-                             layout_distance, partition)
+                             select_random, subset_d_min)
+from frisim.geometry import (GranularityMode, InfeasibleConstraintError, build_grid,
+                             enumerate_candidates, layout_distance, partition)
 
 
 def _map_of(values) -> ResponseMap:
@@ -205,7 +205,8 @@ def test_selection_k_validation():
     for select in (select_maxmin_greedy, select_maxmin_exact):
         with pytest.raises(ValueError):
             select(distances, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InfeasibleConstraintError,
+                           match="cannot select k=4 members from 3 candidates"):
             select(distances, 4)
     with pytest.raises(ValueError):
         select_random(distances, 1, seed=0)
@@ -214,8 +215,36 @@ def test_selection_k_validation():
 def test_exact_guard_points_at_greedy():
     values = np.zeros((40, 40))
     distances = DistanceMatrix(values=values, domain_tag="response")
-    with pytest.raises(ValueError, match="select_maxmin_greedy"):
+    with pytest.raises(InfeasibleConstraintError, match="select_maxmin_greedy"):
         select_maxmin_exact(distances, 20)
+
+
+def test_select_codebook_dispatches_to_each_selector():
+    grid = build_grid(4, 4, 0.5)
+    cands = enumerate_candidates(partition(grid, GranularityMode.element()), 4, 10, 0.0,
+                                 seed=1)
+    realization = draw_channel(grid, ChannelParams(rx_antennas=2, seed=3))
+    response_map = build_response_map(cands, realization,
+                                      coupling_matrix(grid, 0.6, "sinc"), 0.0, seed=0)
+    distances = pairwise_distances(response_map)
+    layout = layout_distances(cands)
+    expected = {
+        "response_maxmin_greedy": select_maxmin_greedy(distances, 4),
+        "response_maxmin_exact": select_maxmin_exact(distances, 4),
+        "random": select_random(distances, 4, seed=5),
+        "layout_maxmin": select_layout_maxmin(layout, response_map, 4),
+    }
+    for method, codebook in expected.items():
+        assert select_codebook(method, distances, layout, response_map, 4,
+                               seed=5) == codebook
+    fixed = select_codebook("fixed_ris", distances, None, response_map, 4, seed=5)
+    assert fixed.members == tuple(range(10))
+    assert fixed.d_min == subset_d_min(distances.values, range(10))
+    assert fixed.bit_width == math.log2(10)
+    with pytest.raises(ValueError, match="layout"):
+        select_codebook("layout_maxmin", distances, None, response_map, 4, seed=5)
+    with pytest.raises(ValueError, match="no selector"):
+        select_codebook("nearest", distances, layout, response_map, 4, seed=5)
 
 
 def test_selectors_reject_wrong_domain():

@@ -153,6 +153,15 @@ def test_enumerate_is_deterministic():
            [x.active_elements for x in c.configurations]
 
 
+@pytest.mark.parametrize("mode", [GranularityMode.element(), GranularityMode.group(2, 2)])
+def test_enumerate_without_a_spacing_applies_the_mode_rule(mode):
+    part = partition(build_grid(8, 8, 0.5), mode)
+    auto = enumerate_candidates(part, 16, 64, None, seed=4)
+    rule = enumerate_candidates(part, 16, 64, default_min_unit_spacing(mode), seed=4)
+    assert auto.min_unit_spacing == default_min_unit_spacing(mode)
+    assert auto.configurations == rule.configurations
+
+
 def test_enumerate_spacing_rule_holds_on_every_output():
     grid = build_grid(4, 4, 0.5)
     part = partition(grid, GranularityMode.element())

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from frisim import codebook, pipeline
 from frisim.codebook import load_codebook
 from frisim.config import ConfigError, ExperimentConfig, config_hash
 from frisim.channel import load_response_map
@@ -23,7 +24,6 @@ from frisim.pipeline import (
     reproduce_scenario_a,
     reproduce_scenario_b,
     run_ber,
-    run_pipeline,
     run_sweep,
     scenario_a_config,
     scenario_b_config,
@@ -142,6 +142,49 @@ class TestRunBer:
         agg_methods = [r[0] for r in tables["ber_aggregate"].rows]
         assert agg_methods.count("fixed_ris") == 2
 
+    def test_fixed_ris_label_shared_with_a_configured_mode_is_kept_apart(self):
+        # The quadrant baseline of an 8x8 grid is labelled block:4x4, like the
+        # configured mode; each (method, mode, SNR) must still appear once.
+        cfg = small_ber_config(
+            grid_rows=8, grid_cols=8, n_act=16, m_samples=32,
+            modes=(GranularityMode.block(4, 4), GranularityMode.element()),
+            methods=("fixed_ris", "random", "response_maxmin_greedy"),
+            trials=100, seeds=(1,))
+        rows = run_ber(cfg)["ber_aggregate"].rows
+        cells = [(method, mode, snr) for method, _k, _n, mode, snr, *_ in rows]
+        assert len(cells) == 10
+        assert len(set(cells)) == 10
+        assert {mode for method, mode, _ in cells if method == "fixed_ris"} == {"block:4x4"}
+
+    def test_fixed_ris_alone_designs_only_the_quadrant_pool(self, monkeypatch):
+        sizes = []
+        real = pipeline.pairwise_distances
+        monkeypatch.setattr(pipeline, "pairwise_distances",
+                            lambda m: sizes.append(len(m)) or real(m))
+        tables = run_ber(small_ber_config(methods=("fixed_ris",)))
+        assert sizes == [4, 4]
+        assert [r[3] for r in tables["codebooks"].rows] == ["block:2x2"] * 2
+
+    def test_short_candidate_pool_gives_one_error_row_per_mode_and_method(self):
+        cfg = small_ber_config(
+            modes=(GranularityMode.element(), GranularityMode.group(2, 2)),
+            m_samples=2, k=3, seeds=(1,),
+            methods=("random", "layout_maxmin", "response_maxmin_greedy",
+                     "response_maxmin_exact"))
+        tables = run_ber(cfg)
+        assert tables["codebooks"].rows == ()
+        assert tables["ber_per_seed"].rows == ()
+        assert tables["errors"].rows == tuple(
+            ("codebook", mode, method, 1, "cannot select k=3 members from 2 candidates")
+            for mode in ("element", "group:2x2") for method in cfg.methods)
+
+    def test_a_selector_bug_is_not_reported_as_infeasible(self, monkeypatch):
+        def broken(distances, k):
+            raise ValueError("selector bug")
+        monkeypatch.setattr(codebook, "select_maxmin_greedy", broken)
+        with pytest.raises(ValueError, match="selector bug"):
+            run_ber(small_ber_config())
+
     def test_metadata_identifies_the_run(self):
         cfg = small_ber_config()
         tables = run_ber(cfg)
@@ -236,23 +279,6 @@ class TestRunSweep:
             emit_table(run_sweep(cfg)["sweep"], out / "sweep.csv")
             paths.append(out / "sweep.csv")
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-class TestRunPipeline:
-    def test_returns_tables_in_workflow_order(self):
-        cfg = small_ber_config(trials=50)
-        tables = run_pipeline(cfg)
-        schemas = [t.schema for t in tables]
-        assert schemas == ["ber_per_seed_v1", "ber_aggregate_v1",
-                           "codebooks_v1", "granularity_sweep_v1"]
-
-    def test_stage_selection_flags(self):
-        cfg = small_ber_config(trials=50)
-        ber_only = run_pipeline(cfg, include_sweep=False)
-        assert [t.schema for t in ber_only] == [
-            "ber_per_seed_v1", "ber_aggregate_v1", "codebooks_v1"]
-        sweep_only = run_pipeline(cfg, include_ber=False)
-        assert [t.schema for t in sweep_only] == ["granularity_sweep_v1"]
 
 
 class TestDesignArtifacts:

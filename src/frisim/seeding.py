@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Seed-path tags: the first path element after the run seed. Each random
-# consumer has its own tag, so no two consumers share a stream. The values
-# are part of every output's identity; changing one moves the CSVs.
+# Seed-path tags: the path element after the seed a stream derives from.
+# Each random consumer has its own tag, so no two consumers share a stream.
+# The values are part of every output's identity; changing one moves the CSVs.
 TAG_CHANNEL = 1
 TAG_MAP = 2
 TAG_SELECT = 3

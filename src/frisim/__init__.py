@@ -34,9 +34,8 @@ from frisim.geometry import (ApertureGrid, CandidateSet, Configuration,
 from frisim.pipeline import (ResultTable, design_artifacts, emit_table,
                              read_table, reproduce_scenario_a,
                              reproduce_scenario_b, run_ber, run_sweep)
-from frisim.throughput import (OverheadParams, SweepEntry, ThroughputReport,
-                               evaluate_mode, granularity_sweep, net_throughput,
-                               overhead_fraction)
+from frisim.throughput import (OverheadParams, ThroughputReport, evaluate_mode,
+                               net_throughput, overhead_fraction)
 
 __all__ = [
     "__version__",
@@ -45,11 +44,11 @@ __all__ = [
     "CouplingMatrix", "DistanceMatrix", "ExperimentConfig",
     "GranularityMode", "InfeasibleConstraintError", "MapProvenance",
     "OverheadParams", "ResponseMap", "ResultTable", "SignalModel",
-    "SweepEntry", "ThroughputReport", "UnitPartition",
+    "ThroughputReport", "UnitPartition",
     "build_grid", "build_response_map", "config_from_units", "config_hash",
     "coupling_matrix", "design_artifacts", "detect_index", "draw_channel",
     "effective_response", "effective_size", "emit_table",
-    "enumerate_candidates", "evaluate_mode", "granularity_sweep",
+    "enumerate_candidates", "evaluate_mode",
     "group_equivalent_response", "layout_distance", "layout_distances",
     "load_candidate_set", "load_codebook", "load_config", "load_response_map",
     "min_pairwise_spacing", "net_throughput", "noise_for_snr_db",

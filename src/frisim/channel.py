@@ -201,16 +201,32 @@ class ResponseMap:
         return self.values[candidate_id]
 
 
-def build_response_map(candidates: CandidateSet, realization: ChannelRealization,
-                       coupling: CouplingMatrix, estimation_error_var: float,
-                       seed: int) -> ResponseMap:
-    """Compute every candidate's response, optionally with calibration noise.
+def _add_calibration_noise(values: np.ndarray, estimation_error_var: float,
+                           seed: int) -> np.ndarray:
+    """``values`` plus complex Gaussian calibration error of the given variance.
 
-    The perturbation stream is partitioned by candidate id, so the map is
-    identical no matter how construction is ordered or distributed.
+    Row i draws from its own stream ``[seed, i]``, so the noise does not depend
+    on how map construction is ordered or distributed.
     """
     if estimation_error_var < 0:
         raise ValueError("estimation_error_var must be >= 0")
+    if estimation_error_var == 0:
+        return values
+    m, r = values.shape
+    # One standard_normal(2r) call draws the same stream as a real-part
+    # draw followed by an imaginary-part draw of r each.
+    noise = np.empty((m, 2 * r))
+    for i in range(m):
+        noise[i] = np.random.default_rng([seed, i]).standard_normal(2 * r)
+    scale = np.sqrt(estimation_error_var / 2.0)
+    return values + scale * (noise[:, :r] + 1j * noise[:, r:])
+
+
+def build_response_map(candidates: CandidateSet, realization: ChannelRealization,
+                       coupling: CouplingMatrix, estimation_error_var: float,
+                       seed: int) -> ResponseMap:
+    """Compute every candidate's response, optionally with calibration noise
+    drawn per candidate id from ``seed``."""
     if realization.n_elements != coupling.n_elements:
         raise ValueError("realization and coupling matrix have different element counts")
     # Stacked matrix-vector products: numpy runs every stack item through the
@@ -219,18 +235,10 @@ def build_response_map(candidates: CandidateSet, realization: ChannelRealization
     # in another order and move the entries in the last bits.
     drive = np.matmul(coupling.entries[None], candidates.masks()[:, :, None])
     values = np.matmul(drive[:, None, :, 0], realization.cascaded[None])[:, 0, :]
-    if estimation_error_var > 0:
-        m, r = values.shape
-        # One standard_normal(2r) call draws the same stream as a real-part
-        # draw followed by an imaginary-part draw of r each.
-        noise = np.empty((m, 2 * r))
-        for i in range(m):
-            noise[i] = np.random.default_rng([seed, i]).standard_normal(2 * r)
-        scale = np.sqrt(estimation_error_var / 2.0)
-        values = values + scale * (noise[:, :r] + 1j * noise[:, r:])
     provenance = MapProvenance(channel_seed=realization.seed, rho=coupling.rho,
                                kernel=coupling.kernel)
-    return ResponseMap(values=values, provenance=provenance)
+    return ResponseMap(values=_add_calibration_noise(values, estimation_error_var, seed),
+                       provenance=provenance)
 
 
 def build_design_maps(candidates: CandidateSet, realization: ChannelRealization,
@@ -238,14 +246,16 @@ def build_design_maps(candidates: CandidateSet, realization: ChannelRealization,
                       seed: int) -> tuple[ResponseMap, ResponseMap | None]:
     """The map a design sees and the true map detection runs on.
 
-    The true map is the noiseless one; it is None when there is no
-    calibration noise, because the design map is then the truth itself.
+    The true map is the noiseless one, built once; the design map adds the
+    calibration noise that build_response_map would draw from ``seed``. The
+    true map is None when there is no calibration noise, because the design
+    map is then the truth itself.
     """
-    design = build_response_map(candidates, realization, coupling,
-                                estimation_error_var, seed=seed)
+    truth = build_response_map(candidates, realization, coupling, 0.0, seed)
     if estimation_error_var == 0:
-        return design, None
-    return design, build_response_map(candidates, realization, coupling, 0.0, seed=0)
+        return truth, None
+    noisy = _add_calibration_noise(truth.values, estimation_error_var, seed)
+    return ResponseMap(values=noisy, provenance=truth.provenance), truth
 
 
 def save_response_map(response_map: ResponseMap, path) -> None:

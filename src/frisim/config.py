@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from frisim.channel import FADING_MODES, KERNELS
+from frisim.channel import FADING_MODES, KERNELS, ChannelParams
 from frisim.codebook import METHOD_FIXED_RIS, SELECTION_METHODS
 from frisim.geometry import GranularityMode
 from frisim.serialize import format_float
@@ -197,6 +198,8 @@ def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
         problems.append(f"grid.spacing must be positive, got {c.grid_spacing}")
     if not c.modes:
         problems.append("candidates.modes must list at least one mode")
+    for label in _repeated(mode.label for mode in c.modes):
+        problems.append(f"candidates.modes lists {label} more than once")
     if c.n_act < 1:
         problems.append(f"candidates.n_act must be >= 1, got {c.n_act}")
     if c.m_samples < 1:
@@ -220,6 +223,8 @@ def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
     for method in c.methods:
         if method not in SELECTION_METHODS:
             problems.append(f"unknown codebook method {method!r}")
+    for method in _repeated(c.methods):
+        problems.append(f"codebook.methods lists {method} more than once")
     if c.k < 2:
         problems.append(f"codebook.k must be >= 2, got {c.k}")
     if not c.snr_db:
@@ -270,10 +275,29 @@ def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
     return problems
 
 
+def _repeated(items) -> list:
+    """Items that occur more than once, each named once, in first-seen order."""
+    return [item for item, count in Counter(items).items() if count > 1]
+
+
 def require_valid(config: ExperimentConfig, *, for_ber: bool = False) -> None:
     problems = validate(config, for_ber=for_ber)
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+
+
+def channel_params(config: ExperimentConfig, seed: int) -> ChannelParams:
+    """The config's channel model, drawn from ``seed``."""
+    return ChannelParams(
+        rx_antennas=config.rx_antennas,
+        fading=config.fading,
+        tx_position=config.tx_position,
+        rx_position=config.rx_position,
+        rx_spacing=config.rx_spacing,
+        coupling_strength=config.rho,
+        estimation_error_var=config.estimation_error_var,
+        seed=seed,
+    )
 
 
 def canonical_items(config: ExperimentConfig) -> list[tuple[str, str]]:

@@ -1,8 +1,9 @@
 """Maximum-likelihood index detection and error-rate estimation.
 
-The receiver observes ``y = pilot * h_true + n`` with circularly-symmetric
-complex noise of total variance ``noise_n0`` per antenna, and decides the
-index whose expected response is nearest to the observation.
+The receiver observes ``y = h + n``: the true response ``h`` of the sent
+index under a unit pilot, plus circularly-symmetric complex noise of total
+variance ``noise_n0`` per antenna. It decides the index whose expected
+response is nearest to the observation.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ _BATCH = 1 << 15
 
 @dataclass(frozen=True)
 class SignalModel:
-    """Known pilot symbol and receiver noise level (variance per antenna)."""
+    """Receiver noise level (variance per antenna) under a unit pilot."""
 
     noise_n0: float
-    pilot_symbol: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
         if not (self.noise_n0 > 0):
@@ -55,21 +55,20 @@ def _embed(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values.real, values.imag), axis=-1)
 
 
-def detect_index(y: np.ndarray, codebook_responses: np.ndarray,
-                 signal: SignalModel) -> int:
+def detect_index(y: np.ndarray, codebook_responses: np.ndarray) -> int:
     """Index of the codeword response nearest to ``y``; ties pick the lowest.
 
     Scores ``||d_i||^2 - 2 Re <y, d_i>`` in the real embedding, the same rule
     simulate_ber_curve applies to every trial.
     """
-    detect = _embed(signal.pilot_symbol * np.asarray(codebook_responses))
+    detect = _embed(np.asarray(codebook_responses))
     scores = np.sum(detect ** 2, axis=1) - 2.0 * (detect @ _embed(np.asarray(y)))
     return int(np.argmin(scores))
 
 
 def simulate_ber_curve(codebook: Codebook, response_map: ResponseMap, noise_levels,
-                       trials: int, seed: int, truth: ResponseMap | None = None,
-                       pilot_symbol: complex = 1.0 + 0.0j) -> list[BerEstimate]:
+                       trials: int, seed: int,
+                       truth: ResponseMap | None = None) -> list[BerEstimate]:
     """Monte Carlo index symbol-error rate under ML detection, one estimate
     per noise level (variance per antenna) in ``noise_levels``.
 
@@ -89,9 +88,8 @@ def simulate_ber_curve(codebook: Codebook, response_map: ResponseMap, noise_leve
     members = list(codebook.members)
     k = len(members)
     r = response_map.values.shape[1]
-    detect = _embed(pilot_symbol * response_map.values[members])
-    source = (detect if truth is None
-              else _embed(pilot_symbol * truth.values[members]))
+    detect = _embed(response_map.values[members])
+    source = detect if truth is None else _embed(truth.values[members])
     # With y = s_t + c z, the score ||d_i||^2 - 2 <y, d_i> splits into a part
     # fixed by the transmitted index t (row t of ``offsets``) and c times a
     # noise projection shared by every level.
@@ -121,7 +119,7 @@ def simulate_ber(codebook: Codebook, response_map: ResponseMap, signal: SignalMo
     """Monte Carlo index symbol-error rate at one noise level; see
     simulate_ber_curve."""
     return simulate_ber_curve(codebook, response_map, [signal.noise_n0], trials, seed,
-                              truth, signal.pilot_symbol)[0]
+                              truth)[0]
 
 
 def q_function(x: float) -> float:
@@ -153,18 +151,17 @@ def union_bound(codebook: Codebook, response_map: ResponseMap, n0: float) -> flo
     return min(1.0, total / k)
 
 
-def mean_pilot_energy(codebook: Codebook, response_map: ResponseMap,
-                      pilot_symbol: complex = 1.0 + 0.0j) -> float:
-    """Codebook-average received pilot energy E[||pilot * h||^2]."""
+def mean_pilot_energy(codebook: Codebook, response_map: ResponseMap) -> float:
+    """Codebook-average received pilot energy E[||h||^2] under a unit pilot."""
     responses = response_map.values[list(codebook.members)]
-    return float(np.mean(np.sum(np.abs(pilot_symbol * responses) ** 2, axis=1)))
+    return float(np.mean(np.sum(np.abs(responses) ** 2, axis=1)))
 
 
-def noise_for_snr_db(codebook: Codebook, response_map: ResponseMap, snr_db: float,
-                     pilot_symbol: complex = 1.0 + 0.0j) -> float:
+def noise_for_snr_db(codebook: Codebook, response_map: ResponseMap,
+                     snr_db: float) -> float:
     """Noise level that realizes a target SNR, with SNR defined as
     10*log10(mean pilot energy / (R * n0))."""
-    energy = mean_pilot_energy(codebook, response_map, pilot_symbol)
+    energy = mean_pilot_energy(codebook, response_map)
     if energy <= 0:
         raise ValueError("codebook has zero received energy; SNR is undefined")
     return energy / (response_map.rx_antennas * 10.0 ** (snr_db / 10.0))

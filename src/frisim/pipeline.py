@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from frisim._version import __version__
-from frisim.channel import (ChannelParams, build_design_maps, build_response_map,
-                            coupling_matrix, draw_channel, save_response_map)
+from frisim.channel import (build_design_maps, build_response_map, coupling_matrix,
+                            draw_channel, save_response_map)
 from frisim.codebook import (METHOD_EXACT, METHOD_FIXED_RIS, METHOD_GREEDY,
                              METHOD_LAYOUT, METHOD_RANDOM, DistanceMatrix,
                              layout_distances, pairwise_distances, save_codebook,
                              select_codebook)
-from frisim.config import ConfigError, ExperimentConfig, config_hash, require_valid
+from frisim.config import (ConfigError, ExperimentConfig, channel_params, config_hash,
+                           require_valid)
 # simulate_ber is not called here; the binding stays because the benchmark's
 # tracer (perfbench/tracing.py) and its tests look it up on this module.
 from frisim.detection import (BerEstimate, noise_for_snr_db, simulate_ber,  # noqa: F401
@@ -29,7 +30,7 @@ from frisim.geometry import (CandidateSet, GranularityMode, InfeasibleConstraint
 from frisim.seeding import (TAG_BER, TAG_CANDIDATES, TAG_CHANNEL, TAG_MAP, TAG_SELECT,
                             TAG_SWEEP_SEEDS, derive_seed)
 from frisim.serialize import format_float
-from frisim.throughput import OverheadParams, granularity_sweep
+from frisim.throughput import evaluate_mode
 
 _METHOD_SEED_IDS = {
     METHOD_FIXED_RIS: 1,
@@ -153,19 +154,6 @@ def _base_metadata(config: ExperimentConfig,
     )
 
 
-def _channel_params(config: ExperimentConfig, seed: int) -> ChannelParams:
-    return ChannelParams(
-        rx_antennas=config.rx_antennas,
-        fading=config.fading,
-        tx_position=config.tx_position,
-        rx_position=config.rx_position,
-        rx_spacing=config.rx_spacing,
-        coupling_strength=config.rho,
-        estimation_error_var=config.estimation_error_var,
-        seed=seed,
-    )
-
-
 @dataclass(frozen=True)
 class _ModeContext:
     index: int  # seed-path slot of the mode
@@ -215,7 +203,7 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
     # (method, mode_label, snr_index) -> [K, trials, errors]
     totals: dict[tuple, list] = {}
     for seed in config.seeds:
-        params = _channel_params(config, derive_seed(seed, TAG_CHANNEL))
+        params = channel_params(config, derive_seed(seed, TAG_CHANNEL))
         realization = draw_channel(grid, params)
         for ctx in contexts:
             design_map, truth = build_design_maps(
@@ -248,6 +236,9 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
                     cell = totals.setdefault((method, ctx.label, snr_idx), [k, 0, 0])
                     cell[1] += est.trials
                     cell[2] += est.errors
+            # Free this context's M x M distances before the next context
+            # computes its own, so that two never coexist at the peak.
+            del distances
 
     aggregate_rows: list[tuple] = []
     for method in config.methods:
@@ -279,32 +270,22 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
 
 
 def run_sweep(config: ExperimentConfig) -> dict[str, ResultTable]:
-    """Granularity sweep at the reference SNR; returns ``sweep`` (+ ``errors``)."""
-    require_valid(config, for_ber=False)
-    grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
-    params = _channel_params(config, derive_seed(config.seeds[0], TAG_CHANNEL))
-    overhead = OverheadParams(alpha_unit=config.alpha_unit,
-                              beta_codeword=config.beta_codeword,
-                              coherence_symbols=config.coherence_symbols)
-    entries = granularity_sweep(
-        grid, config.modes, config.n_act, config.k, params, overhead,
-        snr_db=config.sweep_snr_db, trials=config.trials,
-        seeds=[derive_seed(s, TAG_SWEEP_SEEDS) for s in config.seeds],
-        m_samples=config.m_samples, min_unit_spacing=config.min_unit_spacing,
-        kernel=config.kernel, delta_frac=config.keff_delta_frac,
-        candidate_seed=config.candidate_seed)
+    """Granularity sweep at the reference SNR; returns ``sweep`` (+ ``errors``).
 
+    An infeasible mode (InfeasibleConstraintError) becomes an error row and
+    the sweep goes on; any other error propagates. Rows keep the mode order.
+    """
+    require_valid(config, for_ber=False)
     sweep_rows: list[tuple] = []
     error_rows: list[tuple] = []
-    for entry in entries:
-        if entry.report is not None:
-            rep = entry.report
-            sweep_rows.append((entry.mode.label, rep.unit_count, rep.k, rep.k_eff,
-                               rep.raw_bits, rep.overhead_fraction, rep.p_e,
-                               rep.net_bits))
-        else:
-            error_rows.append(("sweep", entry.mode.label, METHOD_GREEDY, -1,
-                               entry.error))
+    for mode_idx, mode in enumerate(config.modes):
+        try:
+            rep = evaluate_mode(config, mode_idx)
+        except InfeasibleConstraintError as exc:
+            error_rows.append(("sweep", mode.label, METHOD_GREEDY, -1, str(exc)))
+            continue
+        sweep_rows.append((mode.label, rep.unit_count, rep.k, rep.k_eff, rep.raw_bits,
+                           rep.overhead_fraction, rep.p_e, rep.net_bits))
     meta = _base_metadata(config)
     tables = {"sweep": ResultTable(SCHEMA_SWEEP, SWEEP_COLUMNS,
                                    tuple(sweep_rows), meta)}
@@ -325,7 +306,7 @@ def design_artifacts(config: ExperimentConfig, out_dir) -> list[Path]:
         partition(grid, config.modes[0]), config.n_act, config.m_samples,
         config.min_unit_spacing, seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, 0))
     seed = config.seeds[0]
-    params = _channel_params(config, derive_seed(seed, TAG_CHANNEL))
+    params = channel_params(config, derive_seed(seed, TAG_CHANNEL))
     realization = draw_channel(grid, params)
     design_map = build_response_map(candidates, realization, coupling,
                                     config.estimation_error_var,

@@ -155,20 +155,17 @@ CHECKS = (
 )
 
 
-def run_selftest(verbose: bool = True) -> int:
-    """Run every check; returns the number of failures."""
+def run_selftest() -> int:
+    """Run every check, printing one line each; returns the number of failures."""
     failures = 0
     for name, check in CHECKS:
         try:
             check()
         except Exception as exc:  # report and keep going
             failures += 1
-            if verbose:
-                print(f"FAIL - {name}: {exc}")
+            print(f"FAIL - {name}: {exc}")
         else:
-            if verbose:
-                print(f"ok   - {name}")
-    if verbose:
-        total = len(CHECKS)
-        print(f"{total - failures}/{total} checks passed")
+            print(f"ok   - {name}")
+    total = len(CHECKS)
+    print(f"{total - failures}/{total} checks passed")
     return failures

@@ -1,4 +1,4 @@
-"""Overhead-penalized net throughput and the granularity sweep.
+"""Overhead-penalized net throughput and the per-mode pass of the granularity sweep.
 
 Net spatial-index throughput in bits per channel use:
 
@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from frisim.channel import (ChannelParams, build_design_maps, coupling_matrix,
-                            draw_channel)
+from frisim.channel import build_design_maps, coupling_matrix, draw_channel
 from frisim.codebook import effective_size, pairwise_distances, select_maxmin_greedy
+from frisim.config import ExperimentConfig, channel_params
 from frisim.detection import SignalModel, noise_for_snr_db, simulate_ber
-from frisim.geometry import (ApertureGrid, GranularityMode, InfeasibleConstraintError,
-                             UnitPartition, enumerate_candidates, partition)
-from frisim.seeding import (TAG_SWEEP_BER, TAG_SWEEP_CANDIDATES, TAG_SWEEP_MAP,
-                            derive_seed)
+from frisim.geometry import (GranularityMode, InfeasibleConstraintError, UnitPartition,
+                             build_grid, enumerate_candidates, partition)
+from frisim.seeding import (TAG_CHANNEL, TAG_SWEEP_BER, TAG_SWEEP_CANDIDATES,
+                            TAG_SWEEP_MAP, TAG_SWEEP_SEEDS, derive_seed)
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,6 @@ class ThroughputReport:
     net_bits: float
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    """Per-mode sweep outcome; exactly one of report/error is set."""
-
-    mode: GranularityMode
-    report: ThroughputReport | None = None
-    error: str | None = None
-
-
 def overhead_fraction(part: UnitPartition, k: int, params: OverheadParams) -> float:
     """Fraction of the coherence budget spent on reconfiguration and verification."""
     if k < 1:
@@ -85,82 +76,60 @@ def _median_pairwise(values: np.ndarray) -> float:
     return float(np.median(values[iu]))
 
 
-def evaluate_mode(grid: ApertureGrid, mode: GranularityMode, n_act: int, k: int,
-                  channel_params: ChannelParams, overhead_params: OverheadParams,
-                  snr_db: float, trials: int, seeds, *, m_samples: int = 512,
-                  min_unit_spacing: float | None = None, kernel: str = "sinc",
-                  delta_frac: float = 0.1, candidate_seed: int = 1) -> ThroughputReport:
-    """Full design-and-evaluate pass for one granularity mode.
+def evaluate_mode(config: ExperimentConfig, mode_index: int) -> ThroughputReport:
+    """Full design-and-evaluate pass for ``config.modes[mode_index]``.
 
-    One channel realization (from ``channel_params.seed``) drives design and
-    evaluation; ``seeds`` only vary the error-rate estimation noise. The
+    One channel realization (from the first seed) drives design and
+    evaluation; every seed varies the error-rate estimation noise. The
     codebook size is capped at the candidate count, and the pruning threshold
-    is ``delta_frac`` times the median pairwise response distance.
+    is ``keff_delta_frac`` times the median pairwise response distance. A mode
+    with fewer than two candidates raises InfeasibleConstraintError.
     """
+    grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
+    mode = config.modes[mode_index]
     part = partition(grid, mode)
     candidates = enumerate_candidates(
-        part, n_act, m_samples, min_unit_spacing,
-        seed=derive_seed(candidate_seed, TAG_SWEEP_CANDIDATES))
-    k_mode = min(k, len(candidates))
-    if k_mode < 2:
+        part, config.n_act, config.m_samples, config.min_unit_spacing,
+        seed=derive_seed(derive_seed(config.candidate_seed, mode_index),
+                         TAG_SWEEP_CANDIDATES))
+    k = min(config.k, len(candidates))
+    if k < 2:
         raise InfeasibleConstraintError(
             f"mode {mode.label} yields {len(candidates)} candidate(s); "
             f"a codebook needs at least 2")
 
-    coupling = coupling_matrix(grid, channel_params.coupling_strength, kernel)
-    realization = draw_channel(grid, channel_params)
+    coupling = coupling_matrix(grid, config.rho, config.kernel)
+    channel_seed = derive_seed(config.seeds[0], TAG_CHANNEL)
+    realization = draw_channel(grid, channel_params(config, channel_seed))
     response_map, truth = build_design_maps(
-        candidates, realization, coupling, channel_params.estimation_error_var,
-        seed=derive_seed(channel_params.seed, TAG_SWEEP_MAP))
+        candidates, realization, coupling, config.estimation_error_var,
+        seed=derive_seed(channel_seed, TAG_SWEEP_MAP))
     distances = pairwise_distances(response_map)
-    codebook = select_maxmin_greedy(distances, k_mode)
+    codebook = select_maxmin_greedy(distances, k)
 
-    delta = delta_frac * _median_pairwise(distances.values)
+    delta = config.keff_delta_frac * _median_pairwise(distances.values)
     k_eff = effective_size(codebook, distances, delta)
-    oh = overhead_fraction(part, k_mode, overhead_params)
+    overhead = OverheadParams(alpha_unit=config.alpha_unit,
+                              beta_codeword=config.beta_codeword,
+                              coherence_symbols=config.coherence_symbols)
+    oh = overhead_fraction(part, k, overhead)
 
-    n0 = noise_for_snr_db(codebook, response_map, snr_db)
-    signal = SignalModel(noise_n0=n0)
+    signal = SignalModel(noise_n0=noise_for_snr_db(codebook, response_map,
+                                                   config.sweep_snr_db))
     p_values = [
-        simulate_ber(codebook, response_map, signal, trials,
-                     seed=derive_seed(s, TAG_SWEEP_BER), truth=truth).p_hat
-        for s in seeds
+        simulate_ber(codebook, response_map, signal, config.trials,
+                     seed=derive_seed(derive_seed(s, TAG_SWEEP_SEEDS), TAG_SWEEP_BER),
+                     truth=truth).p_hat
+        for s in config.seeds
     ]
     p_e = float(np.mean(p_values))
-    raw_bits = math.log2(k_eff)
     return ThroughputReport(
         mode=mode,
         unit_count=part.unit_count,
-        k=k_mode,
+        k=k,
         k_eff=k_eff,
-        raw_bits=raw_bits,
+        raw_bits=math.log2(k_eff),
         overhead_fraction=oh,
         p_e=p_e,
         net_bits=net_throughput(k_eff, oh, p_e),
     )
-
-
-def granularity_sweep(grid: ApertureGrid, modes, n_act: int, k: int,
-                      channel_params: ChannelParams, overhead_params: OverheadParams,
-                      snr_db: float, trials: int, seeds, *, m_samples: int = 512,
-                      min_unit_spacing: float | None = None, kernel: str = "sinc",
-                      delta_frac: float = 0.1,
-                      candidate_seed: int = 1) -> list[SweepEntry]:
-    """Evaluate every mode; an infeasible mode (InfeasibleConstraintError)
-    yields an error entry and the sweep continues, while any other error
-    propagates. Output order matches the input mode order."""
-    if not seeds:
-        raise ValueError("at least one estimation seed is required")
-    entries: list[SweepEntry] = []
-    for idx, mode in enumerate(modes):
-        try:
-            report = evaluate_mode(
-                grid, mode, n_act, k, channel_params, overhead_params, snr_db,
-                trials, seeds, m_samples=m_samples,
-                min_unit_spacing=min_unit_spacing, kernel=kernel,
-                delta_frac=delta_frac,
-                candidate_seed=derive_seed(candidate_seed, idx))
-            entries.append(SweepEntry(mode=mode, report=report))
-        except InfeasibleConstraintError as exc:
-            entries.append(SweepEntry(mode=mode, error=str(exc)))
-    return entries

@@ -5,8 +5,8 @@ import pytest
 from frisim import pipeline
 from frisim._version import __version__
 from frisim.cli import main
+from frisim.geometry import InfeasibleConstraintError
 from frisim.pipeline import read_table
-from frisim.throughput import SweepEntry
 
 SMALL_CONFIG = """
 grid.rows = 4
@@ -98,6 +98,17 @@ def test_invalid_config_exits_2(capsys, tmp_path):
     assert "bogus.key" in capsys.readouterr().err
 
 
+def test_duplicate_method_exits_2(capsys, tmp_path, config_file):
+    path = tmp_path / "twice.cfg"
+    path.write_text(SMALL_CONFIG.replace("codebook.methods = random,response_maxmin_greedy",
+                                         "codebook.methods = random, random"))
+    out = tmp_path / "o"
+    code = main(["ber", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "codebook.methods lists random more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_trial_sweep_is_a_config_error(capsys, tmp_path, config_file):
     out = tmp_path / "o"
     code = main(["sweep", "--config", str(config_file), "--out", str(out),
@@ -109,11 +120,10 @@ def test_zero_trial_sweep_is_a_config_error(capsys, tmp_path, config_file):
 
 def test_error_messages_cannot_corrupt_the_manifest(capsys, tmp_path, config_file,
                                                     monkeypatch):
-    def failing_sweep(grid, modes, *args, **kwargs):
-        return [SweepEntry(mode=mode, error="bad mode, see #3\nsecond line")
-                for mode in modes]
+    def failing_mode(config, mode_index):
+        raise InfeasibleConstraintError("bad mode, see #3\nsecond line")
 
-    monkeypatch.setattr(pipeline, "granularity_sweep", failing_sweep)
+    monkeypatch.setattr(pipeline, "evaluate_mode", failing_mode)
     out = tmp_path / "o"
     code = main(["sweep", "--config", str(config_file), "--out", str(out)])
     assert code == 0

@@ -110,6 +110,21 @@ def test_validate_fixed_ris_constraints():
     assert any("quadrant" in p for p in validate(wrong_quarter))
 
 
+def test_validate_rejects_a_repeated_method_naming_it_once():
+    cfg = parse_config_text("codebook.methods = random, response_maxmin_greedy, "
+                            "random, random\n")
+    problems = validate(cfg)
+    assert problems == ["codebook.methods lists random more than once"]
+    with pytest.raises(ConfigError, match="random more than once"):
+        require_valid(cfg, for_ber=True)
+
+
+def test_validate_rejects_a_repeated_mode():
+    cfg = parse_config_text("candidates.modes = group:2x2, element, group:2x2\n")
+    assert validate(cfg) == ["candidates.modes lists group:2x2 more than once"]
+    assert validate(parse_config_text("candidates.modes = group:2x2, block:2x2\n")) == []
+
+
 def test_require_valid_raises_config_error():
     with pytest.raises(ConfigError):
         require_valid(ExperimentConfig(k=0))

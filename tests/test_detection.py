@@ -46,26 +46,22 @@ def test_ber_estimate_counts_and_ci():
 
 def test_detect_index_noiseless_recovers_every_index():
     rmap = _random_instance(1)
-    signal = SignalModel(noise_n0=1.0, pilot_symbol=0.7 - 0.2j)
     for i in range(len(rmap)):
-        y = signal.pilot_symbol * rmap.values[i]
-        assert detect_index(y, rmap.values, signal) == i
+        assert detect_index(rmap.values[i], rmap.values) == i
 
 
 def test_detect_index_tie_breaks_to_lowest():
     h = np.array([1 + 1j, -2j])
     rmap = _map_of([h, h, h * 0])
-    signal = SignalModel(noise_n0=1.0)
-    assert detect_index(h, rmap.values, signal) == 0
+    assert detect_index(h, rmap.values) == 0
 
 
 def test_detect_index_midpoint_geometry():
     # responses at 0 and 2 on the real line: the decision boundary is at 1
     rmap = _map_of([[0j], [2 + 0j]])
-    signal = SignalModel(noise_n0=1.0)
-    assert detect_index(np.array([0.99 + 0j]), rmap.values, signal) == 0
-    assert detect_index(np.array([1.01 + 0j]), rmap.values, signal) == 1
-    assert detect_index(np.array([1.0 + 0j]), rmap.values, signal) == 0  # exact tie
+    assert detect_index(np.array([0.99 + 0j]), rmap.values) == 0
+    assert detect_index(np.array([1.01 + 0j]), rmap.values) == 1
+    assert detect_index(np.array([1.0 + 0j]), rmap.values) == 0  # exact tie
 
 
 def test_simulate_ber_noiseless_limit_is_error_free():
@@ -137,9 +133,8 @@ def test_simulate_ber_rejects_zero_trials():
 def test_simulate_ber_curve_single_level_equals_simulate_ber():
     rmap = _random_instance(16)
     cb = select_maxmin_greedy(pairwise_distances(rmap), 4)
-    signal = SignalModel(noise_n0=0.8, pilot_symbol=0.6 + 0.3j)
-    curve = simulate_ber_curve(cb, rmap, [signal.noise_n0], trials=20_000, seed=9,
-                               pilot_symbol=signal.pilot_symbol)
+    signal = SignalModel(noise_n0=0.8)
+    curve = simulate_ber_curve(cb, rmap, [signal.noise_n0], trials=20_000, seed=9)
     assert curve == [simulate_ber(cb, rmap, signal, trials=20_000, seed=9)]
 
 
@@ -231,7 +226,6 @@ def test_mean_pilot_energy_hand_instance():
     rmap = _map_of([[1 + 0j, 0j], [0j, 2 + 0j]])
     cb = select_maxmin_greedy(pairwise_distances(rmap), 2)
     assert mean_pilot_energy(cb, rmap) == pytest.approx((1.0 + 4.0) / 2, rel=1e-15)
-    assert mean_pilot_energy(cb, rmap, pilot_symbol=2.0) == pytest.approx(10.0, rel=1e-15)
 
 
 def test_noise_for_snr_db_inverts_the_definition():

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from frisim.channel import ChannelParams
-from frisim.geometry import GranularityMode, build_grid, partition
-from frisim.throughput import (OverheadParams, evaluate_mode, granularity_sweep,
-                               net_throughput, overhead_fraction)
+from frisim import pipeline
+from frisim.config import ConfigError, ExperimentConfig
+from frisim.geometry import (GranularityMode, InfeasibleConstraintError, build_grid,
+                             partition)
+from frisim.pipeline import run_sweep
+from frisim.throughput import (OverheadParams, evaluate_mode, net_throughput,
+                               overhead_fraction)
 
 
 def test_overhead_params_validation():
@@ -69,18 +72,15 @@ def test_net_throughput_validation():
         net_throughput(4, 0.5, -0.1)
 
 
-def _base_args(seed=3):
-    grid = build_grid(8, 8, 0.5)
-    channel = ChannelParams(rx_antennas=4, coupling_strength=0.6, seed=seed)
-    overhead = OverheadParams()
-    return grid, channel, overhead
+def _config(*modes, **overrides):
+    return ExperimentConfig(modes=modes, **overrides)
 
 
 def test_evaluate_mode_report_is_internally_consistent():
-    grid, channel, overhead = _base_args()
-    report = evaluate_mode(grid, GranularityMode.group(2, 2), 16, 8, channel,
-                           overhead, snr_db=10.0, trials=2000, seeds=(1, 2),
-                           m_samples=128)
+    config = _config(GranularityMode.group(2, 2), m_samples=128, trials=2000,
+                     seeds=(1, 2))
+    report = evaluate_mode(config, 0)
+    assert report.mode == GranularityMode.group(2, 2)
     assert report.unit_count == 16
     assert report.k == 8
     assert 1 <= report.k_eff <= report.k
@@ -90,65 +90,46 @@ def test_evaluate_mode_report_is_internally_consistent():
 
 
 def test_evaluate_mode_caps_k_at_candidate_count():
-    grid, channel, overhead = _base_args()
-    report = evaluate_mode(grid, GranularityMode.block(4, 4), 16, 8, channel,
-                           overhead, snr_db=10.0, trials=1000, seeds=(1,))
+    report = evaluate_mode(_config(GranularityMode.block(4, 4), trials=1000, seeds=(1,)), 0)
     assert report.k == 4  # only 4 one-block layouts exist
     assert report.raw_bits <= 2.0
 
 
 def test_evaluate_mode_is_deterministic():
-    grid, channel, overhead = _base_args(seed=6)
-    kwargs = dict(snr_db=10.0, trials=1500, seeds=(4, 5), m_samples=64)
-    a = evaluate_mode(grid, GranularityMode.element(), 16, 8, channel, overhead, **kwargs)
-    b = evaluate_mode(grid, GranularityMode.element(), 16, 8, channel, overhead, **kwargs)
-    assert a == b
+    config = _config(GranularityMode.element(), m_samples=64, trials=1500, seeds=(4, 5))
+    assert evaluate_mode(config, 0) == evaluate_mode(config, 0)
 
 
 def test_evaluate_mode_needs_two_candidates():
-    grid = build_grid(4, 4, 0.5)
-    channel = ChannelParams(seed=1)
-    with pytest.raises(ValueError):
-        evaluate_mode(grid, GranularityMode.block(4, 4), 16, 8, channel,
-                      OverheadParams(), snr_db=10.0, trials=100, seeds=(1,))
+    config = _config(GranularityMode.block(4, 4), grid_rows=4, grid_cols=4,
+                     trials=100, seeds=(1,))
+    with pytest.raises(InfeasibleConstraintError, match="yields 1 candidate"):
+        evaluate_mode(config, 0)
 
 
 def test_granularity_sweep_preserves_order_and_isolates_failures():
-    grid, channel, overhead = _base_args()
-    modes = (GranularityMode.element(), GranularityMode.group(3, 3),
-             GranularityMode.block(4, 4))
-    entries = granularity_sweep(grid, modes, 16, 8, channel, overhead,
-                                snr_db=10.0, trials=500, seeds=(1,),
-                                m_samples=64)
-    assert [e.mode for e in entries] == list(modes)
-    assert entries[0].report is not None and entries[0].error is None
-    assert entries[1].report is None and "3x3" in entries[1].error
-    assert entries[2].report is not None
+    # On a 2x6 grid at pitch 0.2 the half-wavelength unit spacing leaves one
+    # group:2x2 pair (the outer two units) and no 4-unit group:1x2 subset.
+    modes = (GranularityMode.group(2, 2), GranularityMode.element(),
+             GranularityMode.group(1, 2))
+    tables = run_sweep(_config(*modes, grid_rows=2, grid_cols=6, grid_spacing=0.2,
+                               n_act=8, m_samples=64, trials=500, seeds=(1,)))
+    assert [row[0] for row in tables["sweep"].rows] == ["element"]
+    errors = tables["errors"].rows
+    assert [row[1] for row in errors] == ["group:2x2", "group:1x2"]
+    assert "yields 1 candidate" in errors[0][-1]
+    assert "spacing rule" in errors[1][-1]
 
 
-def test_granularity_sweep_raises_errors_that_are_not_infeasibility():
-    grid, channel, overhead = _base_args()
+def test_granularity_sweep_raises_errors_that_are_not_infeasibility(monkeypatch):
+    def broken(config, mode_index):
+        raise ValueError("delta must be >= 0")
+
+    monkeypatch.setattr(pipeline, "evaluate_mode", broken)
     with pytest.raises(ValueError, match="delta"):
-        granularity_sweep(grid, (GranularityMode.element(),), 16, 8, channel,
-                          overhead, snr_db=10.0, trials=100, seeds=(1,),
-                          m_samples=32, delta_frac=-0.1)
+        run_sweep(_config(GranularityMode.element(), trials=100, seeds=(1,)))
 
 
 def test_granularity_sweep_requires_seeds():
-    grid, channel, overhead = _base_args()
-    with pytest.raises(ValueError):
-        granularity_sweep(grid, (GranularityMode.element(),), 16, 8, channel,
-                          overhead, snr_db=10.0, trials=100, seeds=())
-
-
-def test_group_mode_wins_net_bits_under_default_overheads():
-    grid, channel, overhead = _base_args(seed=11)
-    modes = (GranularityMode.element(), GranularityMode.group(2, 2),
-             GranularityMode.block(4, 4))
-    entries = granularity_sweep(grid, modes, 16, 8, channel, overhead,
-                                snr_db=10.0, trials=2000, seeds=(1, 2))
-    by_mode = {e.mode.label: e.report for e in entries}
-    assert by_mode["element"].raw_bits >= by_mode["group:2x2"].raw_bits
-    assert by_mode["element"].raw_bits >= by_mode["block:4x4"].raw_bits
-    nets = {label: r.net_bits for label, r in by_mode.items()}
-    assert max(nets, key=nets.get) == "group:2x2"
+    with pytest.raises(ConfigError, match="run.seeds"):
+        run_sweep(_config(GranularityMode.element(), trials=100, seeds=()))

@@ -302,6 +302,22 @@ class TestDesignArtifacts:
             assert len(codebook.members) == cfg.k
             assert all(0 <= m < len(candidates) for m in codebook.members)
 
+    def test_codebooks_match_run_ber_for_the_first_seed_and_mode(self, tmp_path):
+        cfg = small_ber_config(
+            modes=(GranularityMode.element(), GranularityMode.group(2, 2)),
+            m_samples=12, estimation_error_var=0.05, trials=0,
+            methods=("random", "layout_maxmin", "response_maxmin_greedy",
+                     "response_maxmin_exact"))
+        design_artifacts(cfg, tmp_path)
+        designed = []
+        for method in cfg.methods:
+            codebook = load_codebook(tmp_path / f"codebook_{method}.txt")
+            designed.append((method, len(codebook.members), codebook.d_min))
+        rows = run_ber(cfg)["codebooks"].rows
+        from_ber = [(method, k, d_min) for seed, method, k, mode, d_min in rows
+                    if seed == cfg.seeds[0] and mode == cfg.modes[0].label]
+        assert designed == from_ber
+
     def test_fixed_ris_is_rejected(self, tmp_path):
         cfg = small_ber_config(methods=("fixed_ris", "response_maxmin_greedy"))
         with pytest.raises(ConfigError, match="fixed_ris"):

@@ -13,8 +13,7 @@ from frisim._version import __version__
 from frisim.channel import (ChannelParams, ChannelRealization, CouplingMatrix,
                             MapProvenance, ResponseMap, build_response_map,
                             coupling_matrix, draw_channel, effective_response,
-                            group_equivalent_response, load_response_map,
-                            save_response_map)
+                            load_response_map, save_response_map)
 from frisim.codebook import (Codebook, DistanceMatrix, effective_size,
                              layout_distances, load_codebook,
                              pairwise_distances, response_distance,
@@ -22,7 +21,7 @@ from frisim.codebook import (Codebook, DistanceMatrix, effective_size,
                              select_maxmin_exact, select_maxmin_greedy,
                              select_random)
 from frisim.config import ConfigError, ExperimentConfig, config_hash, load_config
-from frisim.detection import (BerEstimate, SignalModel, detect_index,
+from frisim.detection import (BerEstimate, detect_index,
                               noise_for_snr_db, pairwise_error_prob, q_function,
                               simulate_ber, simulate_ber_curve, union_bound)
 from frisim.geometry import (ApertureGrid, CandidateSet, Configuration,
@@ -43,13 +42,13 @@ __all__ = [
     "ChannelRealization", "Codebook", "ConfigError", "Configuration",
     "CouplingMatrix", "DistanceMatrix", "ExperimentConfig",
     "GranularityMode", "InfeasibleConstraintError", "MapProvenance",
-    "OverheadParams", "ResponseMap", "ResultTable", "SignalModel",
+    "OverheadParams", "ResponseMap", "ResultTable",
     "ThroughputReport", "UnitPartition",
     "build_grid", "build_response_map", "config_from_units", "config_hash",
     "coupling_matrix", "design_artifacts", "detect_index", "draw_channel",
     "effective_response", "effective_size", "emit_table",
     "enumerate_candidates", "evaluate_mode",
-    "group_equivalent_response", "layout_distance", "layout_distances",
+    "layout_distance", "layout_distances",
     "load_candidate_set", "load_codebook", "load_config", "load_response_map",
     "min_pairwise_spacing", "net_throughput", "noise_for_snr_db",
     "overhead_fraction", "pairwise_distances", "pairwise_error_prob",

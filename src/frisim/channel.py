@@ -45,8 +45,9 @@ class ChannelParams:
     tx_position: tuple[float, float, float] = (0.0, 0.0, 50.0)
     rx_position: tuple[float, float, float] = (20.0, 0.0, 30.0)
     rx_spacing: float = 0.5
+    # draw_channel does not read coupling_strength (coupling_matrix takes rho
+    # directly); the field stays because the benchmark's tests pass it.
     coupling_strength: float = 0.6
-    estimation_error_var: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -57,8 +58,6 @@ class ChannelParams:
         if not 0.0 <= self.coupling_strength <= 1.0:
             raise ValueError(
                 f"coupling_strength must lie in [0, 1], got {self.coupling_strength}")
-        if self.estimation_error_var < 0:
-            raise ValueError("estimation_error_var must be >= 0")
         if not (self.rx_spacing > 0):
             raise ValueError("rx_spacing must be positive")
         for name in ("tx_position", "rx_position"):
@@ -142,33 +141,14 @@ def coupling_matrix(grid: ApertureGrid, rho: float, kernel: str) -> CouplingMatr
     return CouplingMatrix(entries=entries, kernel=kernel, rho=float(rho))
 
 
-def _mask_response(mask: np.ndarray, realization: ChannelRealization,
-                   coupling: CouplingMatrix) -> np.ndarray:
-    drive = coupling.entries @ mask
-    return drive @ realization.cascaded
-
-
 def effective_response(config: Configuration, realization: ChannelRealization,
                        coupling: CouplingMatrix) -> np.ndarray:
     """(R,) receive-side response of a configuration under coupling leakage."""
     n = coupling.n_elements
     if realization.n_elements != n:
         raise ValueError("realization and coupling matrix have different element counts")
-    return _mask_response(activation_mask(config, n), realization, coupling)
-
-
-def group_equivalent_response(unit: frozenset[int], realization: ChannelRealization,
-                              coupling: CouplingMatrix) -> np.ndarray:
-    """Response of activating exactly one unit; the unit-level channel entry."""
-    n = coupling.n_elements
-    mask = np.zeros(n)
-    idx = sorted(unit)
-    if not idx:
-        raise ValueError("unit has no elements")
-    if idx[-1] >= n:
-        raise ValueError("unit references elements outside the grid")
-    mask[idx] = 1.0
-    return _mask_response(mask, realization, coupling)
+    drive = coupling.entries @ activation_mask(config, n)
+    return drive @ realization.cascaded
 
 
 @dataclass(frozen=True)
@@ -196,9 +176,6 @@ class ResponseMap:
     @property
     def rx_antennas(self) -> int:
         return self.values.shape[1]
-
-    def response(self, candidate_id: int) -> np.ndarray:
-        return self.values[candidate_id]
 
 
 def _add_calibration_noise(values: np.ndarray, estimation_error_var: float,

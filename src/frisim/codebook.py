@@ -268,29 +268,27 @@ def select_random(distances: DistanceMatrix, k: int, seed: int) -> Codebook:
     )
 
 
-def select_layout_maxmin(layout: DistanceMatrix, response_map: ResponseMap,
+def select_layout_maxmin(layout: DistanceMatrix, distances: DistanceMatrix,
                          k: int) -> Codebook:
-    """Greedy max-min on layout distances; d_min is still reported in the
-    response domain so codebooks stay comparable across selectors."""
+    """Greedy max-min on layout distances; d_min is still reported from the
+    response-domain ``distances`` so codebooks stay comparable across
+    selectors."""
     _require_domain(layout, DOMAIN_LAYOUT)
-    if layout.size != len(response_map):
-        raise ValueError("layout matrix and response map cover different candidates")
+    _require_domain(distances, DOMAIN_RESPONSE)
+    if layout.size != distances.size:
+        raise ValueError("layout and response distances cover different candidates")
     _check_k(k, layout.size)
     members = _greedy_members(layout.values, k)
-    d_min = min(
-        response_distance(response_map.values[a], response_map.values[b])
-        for i, a in enumerate(members) for b in members[i + 1:])
     return Codebook(
         members=tuple(members),
         selection_method=METHOD_LAYOUT,
-        d_min=d_min,
+        d_min=subset_d_min(distances.values, members),
         bit_width=math.log2(k),
     )
 
 
 def select_codebook(method: str, distances: DistanceMatrix,
-                    layout: DistanceMatrix | None, response_map: ResponseMap,
-                    k: int, seed: int) -> Codebook:
+                    layout: DistanceMatrix | None, k: int, seed: int) -> Codebook:
     """Run the selector ``method`` names. ``layout`` is read only by
     layout_maxmin and ``seed`` only by random; fixed_ris takes every
     candidate. A pool too small for ``k`` raises InfeasibleConstraintError."""
@@ -303,7 +301,7 @@ def select_codebook(method: str, distances: DistanceMatrix,
     if method == METHOD_LAYOUT:
         if layout is None:
             raise ValueError("layout_maxmin needs the layout distance matrix")
-        return select_layout_maxmin(layout, response_map, k)
+        return select_layout_maxmin(layout, distances, k)
     if method == METHOD_FIXED_RIS:
         members = tuple(range(distances.size))
         return Codebook(

@@ -15,6 +15,7 @@ from pathlib import Path
 from frisim.channel import FADING_MODES, KERNELS, ChannelParams
 from frisim.codebook import METHOD_FIXED_RIS, SELECTION_METHODS
 from frisim.geometry import GranularityMode
+from frisim.seeding import TAG_CHANNEL, derive_seed
 from frisim.serialize import format_float
 
 
@@ -53,20 +54,8 @@ class ExperimentConfig:
     out_dir: str = "out"
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
 def _parse_float_or_auto(text: str) -> float | None:
     return None if text == "auto" else float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
 
 
 def _parse_modes(text: str) -> tuple[GranularityMode, ...]:
@@ -115,33 +104,33 @@ def _parse_position(text: str) -> tuple[float, float, float]:
 
 # file key -> (dataclass field, parser)
 _KEYS: dict[str, tuple[str, callable]] = {
-    "grid.rows": ("grid_rows", _parse_int),
-    "grid.cols": ("grid_cols", _parse_int),
-    "grid.spacing": ("grid_spacing", _parse_float),
+    "grid.rows": ("grid_rows", int),
+    "grid.cols": ("grid_cols", int),
+    "grid.spacing": ("grid_spacing", float),
     "candidates.modes": ("modes", _parse_modes),
-    "candidates.n_act": ("n_act", _parse_int),
-    "candidates.m_samples": ("m_samples", _parse_int),
+    "candidates.n_act": ("n_act", int),
+    "candidates.m_samples": ("m_samples", int),
     "candidates.min_unit_spacing": ("min_unit_spacing", _parse_float_or_auto),
-    "candidates.seed": ("candidate_seed", _parse_int),
-    "channel.fading": ("fading", _parse_str),
-    "channel.rx_antennas": ("rx_antennas", _parse_int),
-    "channel.rho": ("rho", _parse_float),
-    "channel.kernel": ("kernel", _parse_str),
-    "channel.estimation_error_var": ("estimation_error_var", _parse_float),
-    "channel.rx_spacing": ("rx_spacing", _parse_float),
+    "candidates.seed": ("candidate_seed", int),
+    "channel.fading": ("fading", str),
+    "channel.rx_antennas": ("rx_antennas", int),
+    "channel.rho": ("rho", float),
+    "channel.kernel": ("kernel", str),
+    "channel.estimation_error_var": ("estimation_error_var", float),
+    "channel.rx_spacing": ("rx_spacing", float),
     "channel.tx_position": ("tx_position", _parse_position),
     "channel.rx_position": ("rx_position", _parse_position),
     "codebook.methods": ("methods", _parse_methods),
-    "codebook.k": ("k", _parse_int),
+    "codebook.k": ("k", int),
     "noise.snr_db": ("snr_db", _parse_float_list),
-    "noise.sweep_snr_db": ("sweep_snr_db", _parse_float),
-    "run.trials": ("trials", _parse_int),
+    "noise.sweep_snr_db": ("sweep_snr_db", float),
+    "run.trials": ("trials", int),
     "run.seeds": ("seeds", _parse_int_list),
-    "overhead.alpha_unit": ("alpha_unit", _parse_float),
-    "overhead.beta_codeword": ("beta_codeword", _parse_float),
-    "overhead.coherence_symbols": ("coherence_symbols", _parse_float),
-    "keff.delta_frac": ("keff_delta_frac", _parse_float),
-    "output.dir": ("out_dir", _parse_str),
+    "overhead.alpha_unit": ("alpha_unit", float),
+    "overhead.beta_codeword": ("beta_codeword", float),
+    "overhead.coherence_symbols": ("coherence_symbols", float),
+    "keff.delta_frac": ("keff_delta_frac", float),
+    "output.dir": ("out_dir", str),
 }
 
 _FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
@@ -229,11 +218,15 @@ def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
         problems.append(f"codebook.k must be >= 2, got {c.k}")
     if not c.snr_db:
         problems.append("noise.snr_db must list at least one point")
+    for snr in _repeated(c.snr_db):
+        problems.append(f"noise.snr_db lists {snr} more than once")
     min_trials = 0 if for_ber else 1
     if c.trials < min_trials:
         problems.append(f"run.trials must be >= {min_trials}, got {c.trials}")
     if not c.seeds:
         problems.append("run.seeds must list at least one seed")
+    for seed in _repeated(c.seeds):
+        problems.append(f"run.seeds lists {seed} more than once")
     if c.alpha_unit < 0 or c.beta_codeword < 0:
         problems.append("overhead coefficients must be >= 0")
     if not (c.coherence_symbols > 0):
@@ -287,7 +280,8 @@ def require_valid(config: ExperimentConfig, *, for_ber: bool = False) -> None:
 
 
 def channel_params(config: ExperimentConfig, seed: int) -> ChannelParams:
-    """The config's channel model, drawn from ``seed``."""
+    """The config's channel model for run seed ``seed``; the channel draws
+    from the stream that seed derives under TAG_CHANNEL."""
     return ChannelParams(
         rx_antennas=config.rx_antennas,
         fading=config.fading,
@@ -295,8 +289,7 @@ def channel_params(config: ExperimentConfig, seed: int) -> ChannelParams:
         rx_position=config.rx_position,
         rx_spacing=config.rx_spacing,
         coupling_strength=config.rho,
-        estimation_error_var=config.estimation_error_var,
-        seed=seed,
+        seed=derive_seed(seed, TAG_CHANNEL),
     )
 
 

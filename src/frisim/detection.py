@@ -21,17 +21,6 @@ _BATCH = 1 << 15
 
 
 @dataclass(frozen=True)
-class SignalModel:
-    """Receiver noise level (variance per antenna) under a unit pilot."""
-
-    noise_n0: float
-
-    def __post_init__(self) -> None:
-        if not (self.noise_n0 > 0):
-            raise ValueError(f"noise_n0 must be positive, got {self.noise_n0}")
-
-
-@dataclass(frozen=True)
 class BerEstimate:
     trials: int
     errors: int
@@ -114,12 +103,11 @@ def simulate_ber_curve(codebook: Codebook, response_map: ResponseMap, noise_leve
     return [BerEstimate.from_counts(trials=trials, errors=int(e)) for e in errors]
 
 
-def simulate_ber(codebook: Codebook, response_map: ResponseMap, signal: SignalModel,
+def simulate_ber(codebook: Codebook, response_map: ResponseMap, noise_n0: float,
                  trials: int, seed: int, truth: ResponseMap | None = None) -> BerEstimate:
     """Monte Carlo index symbol-error rate at one noise level; see
     simulate_ber_curve."""
-    return simulate_ber_curve(codebook, response_map, [signal.noise_n0], trials, seed,
-                              truth)[0]
+    return simulate_ber_curve(codebook, response_map, [noise_n0], trials, seed, truth)[0]
 
 
 def q_function(x: float) -> float:

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 
 from frisim._version import __version__
-from frisim.channel import (build_design_maps, build_response_map, coupling_matrix,
-                            draw_channel, save_response_map)
+from frisim.channel import (ChannelRealization, CouplingMatrix, ResponseMap,
+                            build_design_maps, coupling_matrix, draw_channel,
+                            save_response_map)
 from frisim.codebook import (METHOD_EXACT, METHOD_FIXED_RIS, METHOD_GREEDY,
-                             METHOD_LAYOUT, METHOD_RANDOM, DistanceMatrix,
+                             METHOD_LAYOUT, METHOD_RANDOM, Codebook, DistanceMatrix,
                              layout_distances, pairwise_distances, save_codebook,
                              select_codebook)
 from frisim.config import (ConfigError, ExperimentConfig, channel_params, config_hash,
@@ -24,11 +25,13 @@ from frisim.config import (ConfigError, ExperimentConfig, channel_params, config
 # tracer (perfbench/tracing.py) and its tests look it up on this module.
 from frisim.detection import (BerEstimate, noise_for_snr_db, simulate_ber,  # noqa: F401
                               simulate_ber_curve)
-from frisim.geometry import (CandidateSet, GranularityMode, InfeasibleConstraintError,
-                             build_grid, enumerate_candidates, partition,
-                             save_candidate_set)
-from frisim.seeding import (TAG_BER, TAG_CANDIDATES, TAG_CHANNEL, TAG_MAP, TAG_SELECT,
-                            TAG_SWEEP_SEEDS, derive_seed)
+from frisim.geometry import (ApertureGrid, CandidateSet, GranularityMode,
+                             InfeasibleConstraintError, build_grid, enumerate_candidates,
+                             partition, save_candidate_set)
+# TAG_CHANNEL is not used here (config.channel_params derives the channel
+# seed); the benchmark's tests import it from this module.
+from frisim.seeding import (TAG_BER, TAG_CANDIDATES, TAG_CHANNEL, TAG_MAP,  # noqa: F401
+                            TAG_SELECT, TAG_SWEEP_SEEDS, derive_seed)
 from frisim.serialize import format_float
 from frisim.throughput import evaluate_mode
 
@@ -163,6 +166,37 @@ class _ModeContext:
     methods: tuple[str, ...]
 
 
+def _mode_context(config: ExperimentConfig, grid: ApertureGrid, mode_idx: int,
+                  methods: tuple[str, ...]) -> _ModeContext:
+    """Candidates of ``config.modes[mode_idx]``, plus their layout distances
+    when ``methods`` holds layout_maxmin. A mode whose candidates cannot be
+    enumerated raises InfeasibleConstraintError."""
+    mode = config.modes[mode_idx]
+    candidates = enumerate_candidates(
+        partition(grid, mode), config.n_act, config.m_samples, config.min_unit_spacing,
+        seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, mode_idx))
+    layout = layout_distances(candidates) if METHOD_LAYOUT in methods else None
+    return _ModeContext(mode_idx, mode.label, candidates, layout, methods)
+
+
+def _design(config: ExperimentConfig, ctx: _ModeContext, realization: ChannelRealization,
+            coupling: CouplingMatrix, seed: int
+            ) -> tuple[ResponseMap, ResponseMap | None, DistanceMatrix]:
+    """Design map, true map (None when uncalibrated) and response distances
+    of ``ctx``'s candidates under run seed ``seed``."""
+    design_map, truth = build_design_maps(
+        ctx.candidates, realization, coupling, config.estimation_error_var,
+        seed=derive_seed(seed, TAG_MAP, ctx.index))
+    return design_map, truth, pairwise_distances(design_map)
+
+
+def _select(config: ExperimentConfig, ctx: _ModeContext, method: str,
+            distances: DistanceMatrix, seed: int) -> Codebook:
+    """``method``'s codebook over ``ctx``'s candidates under run seed ``seed``."""
+    return select_codebook(method, distances, ctx.layout, config.k,
+                           seed=derive_seed(seed, TAG_SELECT, ctx.index))
+
+
 def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
     """BER-vs-SNR sweep over (mode, method, seed); returns the result tables.
 
@@ -178,19 +212,13 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
     error_rows: list[tuple] = []
     contexts: list[_ModeContext] = []
     for mode_idx, mode in enumerate(config.modes):
-        part = partition(grid, mode)
         try:
-            candidates = enumerate_candidates(
-                part, config.n_act, config.m_samples, config.min_unit_spacing,
-                seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, mode_idx))
+            ctx = _mode_context(config, grid, mode_idx, mode_methods)
         except InfeasibleConstraintError as exc:
             error_rows.append(("candidates", mode.label, "", -1, str(exc)))
             continue
         if mode_methods:
-            layout = (layout_distances(candidates)
-                      if METHOD_LAYOUT in mode_methods else None)
-            contexts.append(_ModeContext(mode_idx, mode.label, candidates, layout,
-                                         mode_methods))
+            contexts.append(ctx)
     if METHOD_FIXED_RIS in config.methods:
         quad_mode = GranularityMode.block(grid.rows // 2, grid.cols // 2)
         quadrants = enumerate_candidates(partition(grid, quad_mode), config.n_act, 4,
@@ -203,18 +231,13 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
     # (method, mode_label, snr_index) -> [K, trials, errors]
     totals: dict[tuple, list] = {}
     for seed in config.seeds:
-        params = channel_params(config, derive_seed(seed, TAG_CHANNEL))
-        realization = draw_channel(grid, params)
+        realization = draw_channel(grid, channel_params(config, seed))
         for ctx in contexts:
-            design_map, truth = build_design_maps(
-                ctx.candidates, realization, coupling, config.estimation_error_var,
-                seed=derive_seed(seed, TAG_MAP, ctx.index))
-            distances = pairwise_distances(design_map)
+            design_map, truth, distances = _design(config, ctx, realization, coupling,
+                                                   seed)
             for method in ctx.methods:
                 try:
-                    codebook = select_codebook(
-                        method, distances, ctx.layout, design_map, config.k,
-                        seed=derive_seed(seed, TAG_SELECT, ctx.index))
+                    codebook = _select(config, ctx, method, distances, seed)
                 except InfeasibleConstraintError as exc:
                     error_rows.append(("codebook", ctx.label, method, seed, str(exc)))
                     continue
@@ -295,36 +318,29 @@ def run_sweep(config: ExperimentConfig) -> dict[str, ResultTable]:
 
 
 def design_artifacts(config: ExperimentConfig, out_dir) -> list[Path]:
-    """Produce the design-stage artifacts: candidates, response map, codebooks."""
+    """Produce the design-stage artifacts: candidates, response map, codebooks.
+
+    They are run_ber's design of its first mode under its first seed.
+    """
     require_valid(config, for_ber=True)
     if METHOD_FIXED_RIS in config.methods:
         raise ConfigError("fixed_ris is a baseline without a designable codebook; "
                           "remove it from codebook.methods for the design command")
     grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
     coupling = coupling_matrix(grid, config.rho, config.kernel)
-    candidates = enumerate_candidates(
-        partition(grid, config.modes[0]), config.n_act, config.m_samples,
-        config.min_unit_spacing, seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, 0))
+    ctx = _mode_context(config, grid, 0, config.methods)
     seed = config.seeds[0]
-    params = channel_params(config, derive_seed(seed, TAG_CHANNEL))
-    realization = draw_channel(grid, params)
-    design_map = build_response_map(candidates, realization, coupling,
-                                    config.estimation_error_var,
-                                    seed=derive_seed(seed, TAG_MAP, 0))
-    distances = pairwise_distances(design_map)
-    layout = (layout_distances(candidates)
-              if METHOD_LAYOUT in config.methods else None)
+    realization = draw_channel(grid, channel_params(config, seed))
+    design_map, _truth, distances = _design(config, ctx, realization, coupling, seed)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "candidates.txt", out / "response_map.txt"]
-    save_candidate_set(candidates, paths[0])
+    save_candidate_set(ctx.candidates, paths[0])
     save_response_map(design_map, paths[1])
     for method in config.methods:
-        codebook = select_codebook(method, distances, layout, design_map, config.k,
-                                   seed=derive_seed(seed, TAG_SELECT, 0))
         path = out / f"codebook_{method}.txt"
-        save_codebook(codebook, path)
+        save_codebook(_select(config, ctx, method, distances, seed), path)
         paths.append(path)
     return paths
 
@@ -341,8 +357,8 @@ SCENARIO_B_ESTIMATION_SEEDS = 4
 
 
 def scenario_a_config(*, seed_count: int = SCENARIO_A_SEED_COUNT,
-                      trials: int = SCENARIO_A_TRIALS, base_seed: int = 1,
-                      out_dir: str = "out") -> ExperimentConfig:
+                      trials: int = SCENARIO_A_TRIALS,
+                      base_seed: int = 1) -> ExperimentConfig:
     return ExperimentConfig(
         grid_rows=8, grid_cols=8, grid_spacing=0.5,
         modes=(GranularityMode.element(),),
@@ -353,7 +369,6 @@ def scenario_a_config(*, seed_count: int = SCENARIO_A_SEED_COUNT,
         methods=(METHOD_FIXED_RIS, METHOD_RANDOM, METHOD_LAYOUT, METHOD_GREEDY),
         k=8, snr_db=SCENARIO_A_SNR, trials=trials,
         seeds=tuple(base_seed + i for i in range(seed_count)),
-        out_dir=out_dir,
     )
 
 
@@ -361,9 +376,8 @@ def reproduce_scenario_a(out_dir, *, seed_count: int = SCENARIO_A_SEED_COUNT,
                          trials: int = SCENARIO_A_TRIALS,
                          base_seed: int = 1) -> dict[str, ResultTable]:
     """Run scenario A and write its CSV artifacts; returns the tables."""
-    config = scenario_a_config(seed_count=seed_count, trials=trials,
-                               base_seed=base_seed, out_dir=str(out_dir))
-    tables = run_ber(config)
+    tables = run_ber(scenario_a_config(seed_count=seed_count, trials=trials,
+                                       base_seed=base_seed))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_table(tables["ber_aggregate"], out / "scenario_a_ber.csv")
@@ -374,8 +388,8 @@ def reproduce_scenario_a(out_dir, *, seed_count: int = SCENARIO_A_SEED_COUNT,
     return tables
 
 
-def scenario_b_config(*, base_seed: int = 7, trials: int = SCENARIO_B_TRIALS,
-                      out_dir: str = "out") -> ExperimentConfig:
+def scenario_b_config(*, base_seed: int = 7,
+                      trials: int = SCENARIO_B_TRIALS) -> ExperimentConfig:
     return ExperimentConfig(
         grid_rows=8, grid_cols=8, grid_spacing=0.5,
         modes=(GranularityMode.element(), GranularityMode.group(2, 2),
@@ -389,16 +403,14 @@ def scenario_b_config(*, base_seed: int = 7, trials: int = SCENARIO_B_TRIALS,
         seeds=tuple(derive_seed(base_seed, TAG_SWEEP_SEEDS, i)
                     for i in range(SCENARIO_B_ESTIMATION_SEEDS)),
         alpha_unit=1.0, beta_codeword=2.0, coherence_symbols=256.0,
-        keff_delta_frac=0.1, out_dir=out_dir,
+        keff_delta_frac=0.1,
     )
 
 
 def reproduce_scenario_b(out_dir, *, base_seed: int = 7,
                          trials: int = SCENARIO_B_TRIALS) -> dict[str, ResultTable]:
     """Run scenario B and write its CSV artifact; returns the tables."""
-    config = scenario_b_config(base_seed=base_seed, trials=trials,
-                               out_dir=str(out_dir))
-    tables = run_sweep(config)
+    tables = run_sweep(scenario_b_config(base_seed=base_seed, trials=trials))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_table(tables["sweep"], out / "scenario_b_sweep.csv")

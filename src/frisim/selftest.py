@@ -11,8 +11,7 @@ from frisim.channel import (ChannelParams, build_response_map, coupling_matrix,
 from frisim.codebook import (DistanceMatrix, effective_size, pairwise_distances,
                              response_distance, select_maxmin_exact,
                              select_maxmin_greedy)
-from frisim.detection import (BerEstimate, SignalModel, pairwise_error_prob,
-                              simulate_ber, union_bound)
+from frisim.detection import pairwise_error_prob, simulate_ber, union_bound
 from frisim.geometry import (GranularityMode, build_grid, config_from_units,
                              enumerate_candidates, partition)
 from frisim.throughput import OverheadParams, net_throughput, overhead_fraction
@@ -61,7 +60,7 @@ def _check_coupling_kernel() -> None:
 def _check_effective_response() -> None:
     grid = build_grid(1, 2, 0.25)
     coupling = coupling_matrix(grid, 0.8, "sinc")
-    params = ChannelParams(rx_antennas=2, coupling_strength=0.8, seed=5)
+    params = ChannelParams(rx_antennas=2, seed=5)
     realization = draw_channel(grid, params)
     part = partition(grid, GranularityMode.element())
     both = config_from_units(part, [0, 1])
@@ -124,8 +123,7 @@ def _check_binary_ber() -> None:
                         bit_width=1.0)
     d = codebook.d_min
     n0 = d / (2.0 * 1.2 ** 2)  # analytic error rate Q(1.2)
-    est = simulate_ber(codebook, response_map, SignalModel(noise_n0=n0),
-                       trials=200_000, seed=9)
+    est = simulate_ber(codebook, response_map, n0, trials=200_000, seed=9)
     analytic = pairwise_error_prob(d, n0)
     assert abs(est.p_hat - analytic) <= 3 * est.ci95_half_width, (est, analytic)
     bound = union_bound(codebook, response_map, n0)

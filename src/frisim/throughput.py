@@ -18,11 +18,11 @@ import numpy as np
 from frisim.channel import build_design_maps, coupling_matrix, draw_channel
 from frisim.codebook import effective_size, pairwise_distances, select_maxmin_greedy
 from frisim.config import ExperimentConfig, channel_params
-from frisim.detection import SignalModel, noise_for_snr_db, simulate_ber
+from frisim.detection import noise_for_snr_db, simulate_ber
 from frisim.geometry import (GranularityMode, InfeasibleConstraintError, UnitPartition,
                              build_grid, enumerate_candidates, partition)
-from frisim.seeding import (TAG_CHANNEL, TAG_SWEEP_BER, TAG_SWEEP_CANDIDATES,
-                            TAG_SWEEP_MAP, TAG_SWEEP_SEEDS, derive_seed)
+from frisim.seeding import (TAG_SWEEP_BER, TAG_SWEEP_CANDIDATES, TAG_SWEEP_MAP,
+                            TAG_SWEEP_SEEDS, derive_seed)
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,10 @@ def evaluate_mode(config: ExperimentConfig, mode_index: int) -> ThroughputReport
             f"a codebook needs at least 2")
 
     coupling = coupling_matrix(grid, config.rho, config.kernel)
-    channel_seed = derive_seed(config.seeds[0], TAG_CHANNEL)
-    realization = draw_channel(grid, channel_params(config, channel_seed))
+    realization = draw_channel(grid, channel_params(config, config.seeds[0]))
     response_map, truth = build_design_maps(
         candidates, realization, coupling, config.estimation_error_var,
-        seed=derive_seed(channel_seed, TAG_SWEEP_MAP))
+        seed=derive_seed(realization.seed, TAG_SWEEP_MAP))
     distances = pairwise_distances(response_map)
     codebook = select_maxmin_greedy(distances, k)
 
@@ -114,10 +113,9 @@ def evaluate_mode(config: ExperimentConfig, mode_index: int) -> ThroughputReport
                               coherence_symbols=config.coherence_symbols)
     oh = overhead_fraction(part, k, overhead)
 
-    signal = SignalModel(noise_n0=noise_for_snr_db(codebook, response_map,
-                                                   config.sweep_snr_db))
+    n0 = noise_for_snr_db(codebook, response_map, config.sweep_snr_db)
     p_values = [
-        simulate_ber(codebook, response_map, signal, config.trials,
+        simulate_ber(codebook, response_map, n0, config.trials,
                      seed=derive_seed(derive_seed(s, TAG_SWEEP_SEEDS), TAG_SWEEP_BER),
                      truth=truth).p_hat
         for s in config.seeds

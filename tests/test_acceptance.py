@@ -15,8 +15,7 @@ from frisim.channel import (ChannelParams, MapProvenance, ResponseMap,
 from frisim.codebook import (layout_distances, pairwise_distances,
                              select_layout_maxmin, select_maxmin_exact,
                              select_maxmin_greedy, select_random)
-from frisim.detection import (SignalModel, q_function, simulate_ber,
-                              union_bound)
+from frisim.detection import q_function, simulate_ber, union_bound
 from frisim.geometry import (GranularityMode, build_grid, enumerate_candidates,
                              partition)
 from frisim.pipeline import (reproduce_scenario_a, reproduce_scenario_b,
@@ -81,7 +80,7 @@ def test_two_codeword_error_rate_matches_q_function():
         codebook = select_maxmin_greedy(pairwise_distances(rmap), 2)
         x = float(rng.uniform(0.5, 2.5))
         n0 = codebook.d_min / (2.0 * x * x)
-        est = simulate_ber(codebook, rmap, SignalModel(noise_n0=n0),
+        est = simulate_ber(codebook, rmap, n0,
                            trials=10**6, seed=1000 + i)
         analytic = q_function(x)
         assert abs(est.p_hat - analytic) <= 3.0 * est.ci95_half_width, (
@@ -132,7 +131,7 @@ def test_selection_optimality_properties():
         exact = select_maxmin_exact(distances, 4)
         rivals = (
             select_maxmin_greedy(distances, 4),
-            select_layout_maxmin(layout_distances(candidates), rmap, 4),
+            select_layout_maxmin(layout_distances(candidates), distances, 4),
             select_random(distances, 4, seed=700 + s),
         )
         for rival in rivals:
@@ -241,7 +240,7 @@ def test_union_bound_dominates_simulated_error_rate():
         codebook = select_maxmin_greedy(pairwise_distances(rmap), k)
         x = float(rng.uniform(0.8, 2.5))
         n0 = codebook.d_min / (2.0 * x * x) if codebook.d_min > 0 else 1.0
-        est = simulate_ber(codebook, rmap, SignalModel(noise_n0=n0),
+        est = simulate_ber(codebook, rmap, n0,
                            trials=10**5, seed=8000 + i)
         bound = union_bound(codebook, rmap, n0)
         slack = bound - (est.p_hat - 3.0 * est.ci95_half_width)

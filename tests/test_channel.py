@@ -5,8 +5,7 @@ import pytest
 
 from frisim.channel import (ChannelParams, CouplingMatrix, build_design_maps,
                             build_response_map, coupling_matrix, draw_channel, effective_response,
-                            group_equivalent_response, load_response_map,
-                            save_response_map)
+                            load_response_map, save_response_map)
 from frisim.geometry import (GranularityMode, build_grid, config_from_units,
                              enumerate_candidates, partition)
 
@@ -22,8 +21,6 @@ def test_channel_params_validation():
         ChannelParams(fading="rician")
     with pytest.raises(ValueError):
         ChannelParams(coupling_strength=1.5)
-    with pytest.raises(ValueError):
-        ChannelParams(estimation_error_var=-0.1)
     with pytest.raises(ValueError):
         ChannelParams(rx_spacing=0.0)
     with pytest.raises(ValueError):
@@ -174,25 +171,16 @@ def test_effective_response_dimension_mismatch():
                            _identity_coupling(other))
 
 
-def test_group_equivalent_response_matches_effective_response():
+def test_identity_coupling_response_sums_the_unit_rows():
     grid = build_grid(4, 4, 0.5)
-    part = partition(grid, GranularityMode.group(2, 2))
-    real = draw_channel(grid, ChannelParams(rx_antennas=4, seed=8))
-    coupling = coupling_matrix(grid, 0.6, "sinc")
-    for u, members in enumerate(part.units):
-        via_unit = group_equivalent_response(members, real, coupling)
-        via_config = effective_response(config_from_units(part, [u]), real, coupling)
-        assert np.array_equal(via_unit, via_config)
-
-
-def test_group_equivalent_identity_coupling_sums_rows():
-    grid = build_grid(4, 4, 0.5)
-    part = partition(grid, GranularityMode.group(2, 2))
     real = draw_channel(grid, ChannelParams(rx_antennas=2, seed=9))
-    got = group_equivalent_response(part.units[0], real, _identity_coupling(grid))
-    expect = real.cascaded[sorted(part.units[0])].sum(axis=0)
+    group = partition(grid, GranularityMode.group(2, 2))
+    got = effective_response(config_from_units(group, [0]), real, _identity_coupling(grid))
+    expect = real.cascaded[sorted(group.units[0])].sum(axis=0)
     assert np.allclose(got, expect, rtol=1e-12)
-    singleton = group_equivalent_response(frozenset({5}), real, _identity_coupling(grid))
+    element = partition(grid, GranularityMode.element())
+    singleton = effective_response(config_from_units(element, [5]), real,
+                                   _identity_coupling(grid))
     assert np.array_equal(singleton, real.cascaded[5])
 
 
@@ -210,7 +198,7 @@ def test_noiseless_map_equals_effective_response_exactly():
     rmap = build_response_map(cands, real, coupling, 0.0, seed=0)
     assert len(rmap) == len(cands)
     for i, cfg in enumerate(cands.configurations):
-        assert np.array_equal(rmap.response(i),
+        assert np.array_equal(rmap.values[i],
                               effective_response(cfg, real, coupling))
 
 

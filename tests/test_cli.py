@@ -109,6 +109,16 @@ def test_duplicate_method_exits_2(capsys, tmp_path, config_file):
     assert not out.exists()
 
 
+def test_repeated_seed_exits_2(capsys, tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text(SMALL_CONFIG.replace("run.seeds = 1,2", "run.seeds = 3,3"))
+    out = tmp_path / "o"
+    code = main(["ber", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "run.seeds lists 3 more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_trial_sweep_is_a_config_error(capsys, tmp_path, config_file):
     out = tmp_path / "o"
     code = main(["sweep", "--config", str(config_file), "--out", str(out),

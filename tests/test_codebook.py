@@ -189,7 +189,7 @@ def test_greedy_on_an_all_zero_matrix_starts_from_the_first_pair():
     response = DistanceMatrix(values=zeros, domain_tag="response")
     layout = DistanceMatrix(values=zeros, domain_tag="layout")
     assert select_maxmin_greedy(response, 3).members == (0, 1, 2)
-    assert select_layout_maxmin(layout, _map_of(np.zeros(4)), 3).members == (0, 1, 2)
+    assert select_layout_maxmin(layout, response, 3).members == (0, 1, 2)
 
 
 def test_selecting_every_candidate_returns_the_full_set():
@@ -232,19 +232,18 @@ def test_select_codebook_dispatches_to_each_selector():
         "response_maxmin_greedy": select_maxmin_greedy(distances, 4),
         "response_maxmin_exact": select_maxmin_exact(distances, 4),
         "random": select_random(distances, 4, seed=5),
-        "layout_maxmin": select_layout_maxmin(layout, response_map, 4),
+        "layout_maxmin": select_layout_maxmin(layout, distances, 4),
     }
     for method, codebook in expected.items():
-        assert select_codebook(method, distances, layout, response_map, 4,
-                               seed=5) == codebook
-    fixed = select_codebook("fixed_ris", distances, None, response_map, 4, seed=5)
+        assert select_codebook(method, distances, layout, 4, seed=5) == codebook
+    fixed = select_codebook("fixed_ris", distances, None, 4, seed=5)
     assert fixed.members == tuple(range(10))
     assert fixed.d_min == subset_d_min(distances.values, range(10))
     assert fixed.bit_width == math.log2(10)
     with pytest.raises(ValueError, match="layout"):
-        select_codebook("layout_maxmin", distances, None, response_map, 4, seed=5)
+        select_codebook("layout_maxmin", distances, None, 4, seed=5)
     with pytest.raises(ValueError, match="no selector"):
-        select_codebook("nearest", distances, layout, response_map, 4, seed=5)
+        select_codebook("nearest", distances, layout, 4, seed=5)
 
 
 def test_selectors_reject_wrong_domain():
@@ -255,7 +254,11 @@ def test_selectors_reject_wrong_domain():
         select_maxmin_greedy(layout, 2)
     response = _scalar_distances([0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
-        select_layout_maxmin(response, _map_of([[0j], [0j], [0j]]), 2)
+        select_layout_maxmin(response, response, 2)
+    with pytest.raises(ValueError):
+        select_layout_maxmin(layout, layout, 2)
+    with pytest.raises(ValueError, match="different candidates"):
+        select_layout_maxmin(layout, response, 2)
 
 
 def test_random_selection_is_seeded_and_uniform():
@@ -290,7 +293,7 @@ def test_layout_selection_picks_max_symmetric_difference_pair():
     real = draw_channel(grid, ChannelParams(rx_antennas=4, seed=4))
     rmap = build_response_map(cands, real, coupling_matrix(grid, 0.0, "none"),
                               0.0, seed=0)
-    cb = select_layout_maxmin(layout, rmap, 2)
+    cb = select_layout_maxmin(layout, pairwise_distances(rmap), 2)
     assert layout.values[cb.members[0], cb.members[1]] == layout.values.max()
 
 
@@ -301,7 +304,7 @@ def test_layout_selection_survives_identical_responses():
     cands = enumerate_candidates(part, 4, 10, 0.0, seed=6)
     layout = layout_distances(cands)
     rmap = _map_of(np.ones((len(cands), 4), dtype=complex))
-    cb = select_layout_maxmin(layout, rmap, 3)
+    cb = select_layout_maxmin(layout, pairwise_distances(rmap), 3)
     assert cb.d_min == 0.0
     assert len(set(cb.members)) == 3
 
@@ -316,8 +319,9 @@ def test_layout_selection_loses_to_response_aware_selection_usually():
         cands = enumerate_candidates(part, 4, 10, 0.0, seed=seed)
         real = draw_channel(grid, ChannelParams(rx_antennas=4, seed=seed))
         rmap = build_response_map(cands, real, coupling, 0.0, seed=0)
-        greedy = select_maxmin_greedy(pairwise_distances(rmap), 4)
-        lay = select_layout_maxmin(layout_distances(cands), rmap, 4)
+        distances = pairwise_distances(rmap)
+        greedy = select_maxmin_greedy(distances, 4)
+        lay = select_layout_maxmin(layout_distances(cands), distances, 4)
         wins += lay.d_min <= greedy.d_min
     assert wins >= 90
 

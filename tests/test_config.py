@@ -1,9 +1,10 @@
 import pytest
 
-from frisim.config import (ConfigError, ExperimentConfig, config_hash,
+from frisim.config import (ConfigError, ExperimentConfig, channel_params, config_hash,
                            load_config, parse_config_text, require_valid,
                            validate)
 from frisim.geometry import GranularityMode
+from frisim.seeding import TAG_CHANNEL, derive_seed
 
 
 def test_defaults_are_valid():
@@ -123,6 +124,21 @@ def test_validate_rejects_a_repeated_mode():
     cfg = parse_config_text("candidates.modes = group:2x2, element, group:2x2\n")
     assert validate(cfg) == ["candidates.modes lists group:2x2 more than once"]
     assert validate(parse_config_text("candidates.modes = group:2x2, block:2x2\n")) == []
+
+
+def test_validate_rejects_a_repeated_seed_or_snr_point():
+    cfg = parse_config_text("run.seeds = 3, 4, 3\nnoise.snr_db = 0, 5, 0, 0\n")
+    assert validate(cfg) == ["noise.snr_db lists 0.0 more than once",
+                             "run.seeds lists 3 more than once"]
+    with pytest.raises(ConfigError, match="run.seeds lists 3 more than once"):
+        require_valid(cfg, for_ber=True)
+    assert validate(parse_config_text("run.seeds = 3:5\nnoise.snr_db = 0:10:5\n")) == []
+
+
+def test_channel_params_derive_the_channel_stream_from_the_run_seed():
+    params = channel_params(ExperimentConfig(rx_antennas=3, fading="los"), 5)
+    assert params.seed == derive_seed(5, TAG_CHANNEL)
+    assert (params.rx_antennas, params.fading) == (3, "los")
 
 
 def test_require_valid_raises_config_error():

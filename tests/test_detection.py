@@ -6,7 +6,7 @@ import pytest
 from frisim.channel import MapProvenance, ResponseMap
 from frisim.codebook import (pairwise_distances, response_distance,
                              select_maxmin_greedy, select_random)
-from frisim.detection import (BerEstimate, SignalModel, detect_index,
+from frisim.detection import (BerEstimate, detect_index,
                               mean_pilot_energy, noise_for_snr_db,
                               pairwise_error_prob, q_function, simulate_ber,
                               simulate_ber_curve, union_bound)
@@ -24,13 +24,12 @@ def _random_instance(seed, m=6, r=4):
     return _map_of(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
 
 
-def test_signal_model_validation():
-    with pytest.raises(ValueError):
-        SignalModel(noise_n0=0.0)
-    with pytest.raises(ValueError):
-        SignalModel(noise_n0=-1.0)
-    with pytest.raises(ValueError):
-        SignalModel(noise_n0=float("nan"))
+def test_simulate_ber_rejects_a_nonpositive_or_nan_noise_level():
+    rmap = _random_instance(3)
+    cb = select_maxmin_greedy(pairwise_distances(rmap), 2)
+    for n0 in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="noise_n0 must be positive"):
+            simulate_ber(cb, rmap, n0, trials=10, seed=1)
 
 
 def test_ber_estimate_counts_and_ci():
@@ -67,7 +66,7 @@ def test_detect_index_midpoint_geometry():
 def test_simulate_ber_noiseless_limit_is_error_free():
     rmap = _random_instance(2)
     cb = select_maxmin_greedy(pairwise_distances(rmap), 4)
-    est = simulate_ber(cb, rmap, SignalModel(noise_n0=1e-12), trials=4000, seed=3)
+    est = simulate_ber(cb, rmap, 1e-12, trials=4000, seed=3)
     assert est.errors == 0
     assert est.p_hat == 0.0
 
@@ -77,7 +76,7 @@ def test_simulate_ber_binary_matches_q_function():
     cb = select_maxmin_greedy(pairwise_distances(rmap), 2)
     d = cb.d_min
     n0 = d / (2.0 * 1.0)  # puts the analytic rate at Q(1)
-    est = simulate_ber(cb, rmap, SignalModel(noise_n0=n0), trials=100_000, seed=7)
+    est = simulate_ber(cb, rmap, n0, trials=100_000, seed=7)
     analytic = pairwise_error_prob(d, n0)
     assert analytic == pytest.approx(q_function(1.0), rel=1e-12)
     assert abs(est.p_hat - analytic) <= 3 * est.ci95_half_width
@@ -86,40 +85,40 @@ def test_simulate_ber_binary_matches_q_function():
 def test_simulate_ber_determinism_and_seed_sensitivity():
     rmap = _random_instance(8)
     cb = select_maxmin_greedy(pairwise_distances(rmap), 4)
-    signal = SignalModel(noise_n0=2.0)
-    a = simulate_ber(cb, rmap, signal, trials=20_000, seed=1)
-    b = simulate_ber(cb, rmap, signal, trials=20_000, seed=1)
+    n0 = 2.0
+    a = simulate_ber(cb, rmap, n0, trials=20_000, seed=1)
+    b = simulate_ber(cb, rmap, n0, trials=20_000, seed=1)
     assert a == b
-    c = simulate_ber(cb, rmap, signal, trials=20_000, seed=2)
+    c = simulate_ber(cb, rmap, n0, trials=20_000, seed=2)
     assert a.errors != c.errors
 
 
 def test_simulate_ber_is_monotone_in_noise():
     rmap = _random_instance(9)
     cb = select_maxmin_greedy(pairwise_distances(rmap), 4)
-    quiet = simulate_ber(cb, rmap, SignalModel(noise_n0=0.05), trials=30_000, seed=4)
-    loud = simulate_ber(cb, rmap, SignalModel(noise_n0=5.0), trials=30_000, seed=4)
+    quiet = simulate_ber(cb, rmap, 0.05, trials=30_000, seed=4)
+    loud = simulate_ber(cb, rmap, 5.0, trials=30_000, seed=4)
     assert quiet.p_hat < loud.p_hat
 
 
 def test_simulate_ber_matched_truth_equals_default():
     rmap = _random_instance(10)
     cb = select_maxmin_greedy(pairwise_distances(rmap), 4)
-    signal = SignalModel(noise_n0=1.0)
-    assert simulate_ber(cb, rmap, signal, trials=10_000, seed=5) == \
-           simulate_ber(cb, rmap, signal, trials=10_000, seed=5, truth=rmap)
+    n0 = 1.0
+    assert simulate_ber(cb, rmap, n0, trials=10_000, seed=5) == \
+           simulate_ber(cb, rmap, n0, trials=10_000, seed=5, truth=rmap)
 
 
 def test_simulate_ber_calibration_mismatch_hurts():
     rmap = _random_instance(11)
     cb = select_maxmin_greedy(pairwise_distances(rmap), 4)
-    signal = SignalModel(noise_n0=0.2)
+    n0 = 0.2
     rng = np.random.default_rng(0)
     off = rmap.values + 0.8 * (rng.standard_normal(rmap.values.shape)
                                + 1j * rng.standard_normal(rmap.values.shape))
     truth = ResponseMap(values=off, provenance=rmap.provenance)
-    matched = simulate_ber(cb, rmap, signal, trials=30_000, seed=6)
-    mismatched = simulate_ber(cb, rmap, signal, trials=30_000, seed=6, truth=truth)
+    matched = simulate_ber(cb, rmap, n0, trials=30_000, seed=6)
+    mismatched = simulate_ber(cb, rmap, n0, trials=30_000, seed=6, truth=truth)
     assert mismatched.p_hat > matched.p_hat
 
 
@@ -127,15 +126,14 @@ def test_simulate_ber_rejects_zero_trials():
     rmap = _random_instance(12)
     cb = select_maxmin_greedy(pairwise_distances(rmap), 2)
     with pytest.raises(ValueError):
-        simulate_ber(cb, rmap, SignalModel(noise_n0=1.0), trials=0, seed=1)
+        simulate_ber(cb, rmap, 1.0, trials=0, seed=1)
 
 
 def test_simulate_ber_curve_single_level_equals_simulate_ber():
     rmap = _random_instance(16)
     cb = select_maxmin_greedy(pairwise_distances(rmap), 4)
-    signal = SignalModel(noise_n0=0.8)
-    curve = simulate_ber_curve(cb, rmap, [signal.noise_n0], trials=20_000, seed=9)
-    assert curve == [simulate_ber(cb, rmap, signal, trials=20_000, seed=9)]
+    curve = simulate_ber_curve(cb, rmap, [0.8], trials=20_000, seed=9)
+    assert curve == [simulate_ber(cb, rmap, 0.8, trials=20_000, seed=9)]
 
 
 def test_simulate_ber_curve_binary_matches_q_function_at_each_level():
@@ -208,7 +206,7 @@ def test_union_bound_dominates_simulation():
         rmap = _random_instance(seed, m=8)
         cb = select_random(pairwise_distances(rmap), 4, seed=seed)
         n0 = cb.d_min / 4.0 if cb.d_min > 0 else 1.0
-        est = simulate_ber(cb, rmap, SignalModel(noise_n0=n0),
+        est = simulate_ber(cb, rmap, n0,
                            trials=100_000, seed=seed)
         assert union_bound(cb, rmap, n0) >= est.p_hat - 3 * est.ci95_half_width
 

@@ -20,6 +20,10 @@ Two more small configs pin what the scenarios leave out: the five files of
 tables of a calibrated 4x4 study with every selector over three modes, which
 covers the truth-map detection path and the exhaustive selector. Its
 ``m_samples`` stays small because the exhaustive selector grows as C(M, k).
+
+A design-only ``run_ber`` with seven receive antennas pins the response
+distances at the largest antenna count where index-order and numpy's blocked
+summation of the antenna terms still agree.
 """
 
 import hashlib
@@ -120,3 +124,21 @@ def test_calibrated_ber_with_every_selector_matches_the_pinned_hashes(tmp_path):
     actual = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
               for path in tmp_path.glob("*.csv")}
     assert actual == PINNED_CALIBRATED_BER
+
+
+SEVEN_ANTENNA_DESIGN = ExperimentConfig(
+    rx_antennas=7, modes=(GranularityMode.element(), GranularityMode.group(2, 2)),
+    m_samples=48, estimation_error_var=0.05,
+    methods=("random", "layout_maxmin", "response_maxmin_greedy"),
+    trials=0, seeds=(9, 10))
+
+PINNED_SEVEN_ANTENNA_CODEBOOKS = (
+    "afdd04d5d578e98ba2b4d6a1a04eddb103bbb90c2064c3f8f83e634a2d968c3b")
+
+
+def test_seven_antenna_design_codebooks_match_the_pinned_hash(tmp_path):
+    tables = run_ber(SEVEN_ANTENNA_DESIGN)
+    assert len(tables["codebooks"].rows) == 12
+    emit_table(tables["codebooks"], tmp_path / "codebooks.csv")
+    digest = hashlib.sha256((tmp_path / "codebooks.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_SEVEN_ANTENNA_CODEBOOKS

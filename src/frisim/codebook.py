@@ -64,42 +64,19 @@ class Codebook:
 
 
 def response_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean norm of the complex response difference."""
+    """Squared Euclidean norm of the complex response difference, its
+    per-antenna terms summed in index order."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"response shapes differ: {a.shape} vs {b.shape}")
-    diff = a - b
+    diff = (a - b).ravel()
     # real**2 + imag**2 avoids the sqrt round-trip of abs()**2, so distances
     # with exact integer values come out exact.
-    return float(np.sum(diff.real ** 2 + diff.imag ** 2))
-
-
-def _sum_in_reduce_order(term, lo: int, n: int) -> np.ndarray:
-    """Sum ``term(lo) .. term(lo + n - 1)`` in the order numpy's float64
-    add-reduce sums a contiguous row of length ``n``: sequentially below 8,
-    in eight interleaved partial sums up to 128, halving above that. The
-    terms are nonnegative, so starting from the first term instead of 0.0
-    changes nothing."""
-    if n < 8:
-        acc = term(lo)
-        for t in range(lo + 1, lo + n):
-            acc += term(t)
-        return acc
-    if n <= 128:
-        part = [term(lo + j) for j in range(8)]
-        full = n - n % 8
-        for i in range(8, full, 8):
-            for j in range(8):
-                part[j] += term(lo + i + j)
-        acc = ((part[0] + part[1]) + (part[2] + part[3])) + \
-              ((part[4] + part[5]) + (part[6] + part[7]))
-        for t in range(lo + full, lo + n):
-            acc += term(t)
-        return acc
-    half = n // 2
-    half -= half % 8
-    return _sum_in_reduce_order(term, lo, half) + _sum_in_reduce_order(term, lo + half, n - half)
+    total = 0.0
+    for term in diff.real ** 2 + diff.imag ** 2:
+        total += term
+    return float(total)
 
 
 def _symmetric_from_row_blocks(m: int, block) -> np.ndarray:
@@ -123,8 +100,8 @@ def pairwise_distances(response_map: ResponseMap) -> DistanceMatrix:
 
     Each entry is bit-identical to response_distance on the same rows:
     direct differencing (rather than a Gram-matrix expansion) gives the same
-    per-antenna terms, and they are added in the order np.sum adds them. Only
-    the upper triangle is computed; the difference of a pair only changes
+    per-antenna terms, and they are added in the same index order. Only the
+    upper triangle is computed; the difference of a pair only changes
     sign when the pair is swapped, so the mirrored entries are exact.
     """
     values = response_map.values
@@ -139,7 +116,10 @@ def pairwise_distances(response_map: ResponseMap) -> DistanceMatrix:
             di *= di
             dr += di
             return dr
-        return _sum_in_reduce_order(term, 0, values.shape[1])
+        total = term(0)
+        for t in range(1, values.shape[1]):
+            total += term(t)
+        return total
 
     out = _symmetric_from_row_blocks(len(response_map), block)
     np.fill_diagonal(out, 0.0)
@@ -212,17 +192,21 @@ def _require_domain(distances: DistanceMatrix, domain: str) -> None:
             f"expected a {domain}-domain distance matrix, got {distances.domain_tag}")
 
 
+def _codebook(members, method: str, distances: DistanceMatrix,
+              seed: int | None = None) -> Codebook:
+    """``members`` as ``method``'s codebook; every selector reports d_min from
+    the response-domain ``distances`` so codebooks stay comparable."""
+    members = tuple(members)
+    return Codebook(members=members, selection_method=method,
+                    d_min=subset_d_min(distances.values, members),
+                    bit_width=math.log2(len(members)), seed=seed)
+
+
 def select_maxmin_greedy(distances: DistanceMatrix, k: int) -> Codebook:
     """Greedy max-min selection seeded with the globally farthest pair."""
     _require_domain(distances, DOMAIN_RESPONSE)
     _check_k(k, distances.size)
-    members = _greedy_members(distances.values, k)
-    return Codebook(
-        members=tuple(members),
-        selection_method=METHOD_GREEDY,
-        d_min=subset_d_min(distances.values, members),
-        bit_width=math.log2(k),
-    )
+    return _codebook(_greedy_members(distances.values, k), METHOD_GREEDY, distances)
 
 
 def select_maxmin_exact(distances: DistanceMatrix, k: int) -> Codebook:
@@ -244,12 +228,7 @@ def select_maxmin_exact(distances: DistanceMatrix, k: int) -> Codebook:
             best_d = d
             best_members = combo
     assert best_members is not None
-    return Codebook(
-        members=best_members,
-        selection_method=METHOD_EXACT,
-        d_min=float(best_d),
-        bit_width=math.log2(k),
-    )
+    return _codebook(best_members, METHOD_EXACT, distances)
 
 
 def select_random(distances: DistanceMatrix, k: int, seed: int) -> Codebook:
@@ -257,34 +236,20 @@ def select_random(distances: DistanceMatrix, k: int, seed: int) -> Codebook:
     _require_domain(distances, DOMAIN_RESPONSE)
     _check_k(k, distances.size)
     rng = np.random.default_rng(seed)
-    members = tuple(sorted(int(i) for i in
-                           rng.choice(distances.size, size=k, replace=False)))
-    return Codebook(
-        members=members,
-        selection_method=METHOD_RANDOM,
-        d_min=subset_d_min(distances.values, members),
-        bit_width=math.log2(k),
-        seed=int(seed),
-    )
+    members = sorted(int(i) for i in rng.choice(distances.size, size=k, replace=False))
+    return _codebook(members, METHOD_RANDOM, distances, seed=int(seed))
 
 
 def select_layout_maxmin(layout: DistanceMatrix, distances: DistanceMatrix,
                          k: int) -> Codebook:
-    """Greedy max-min on layout distances; d_min is still reported from the
-    response-domain ``distances`` so codebooks stay comparable across
-    selectors."""
+    """Greedy max-min on layout distances; d_min comes from the
+    response-domain ``distances``, as for every selector."""
     _require_domain(layout, DOMAIN_LAYOUT)
     _require_domain(distances, DOMAIN_RESPONSE)
     if layout.size != distances.size:
         raise ValueError("layout and response distances cover different candidates")
     _check_k(k, layout.size)
-    members = _greedy_members(layout.values, k)
-    return Codebook(
-        members=tuple(members),
-        selection_method=METHOD_LAYOUT,
-        d_min=subset_d_min(distances.values, members),
-        bit_width=math.log2(k),
-    )
+    return _codebook(_greedy_members(layout.values, k), METHOD_LAYOUT, distances)
 
 
 def select_codebook(method: str, distances: DistanceMatrix,
@@ -303,13 +268,7 @@ def select_codebook(method: str, distances: DistanceMatrix,
             raise ValueError("layout_maxmin needs the layout distance matrix")
         return select_layout_maxmin(layout, distances, k)
     if method == METHOD_FIXED_RIS:
-        members = tuple(range(distances.size))
-        return Codebook(
-            members=members,
-            selection_method=METHOD_FIXED_RIS,
-            d_min=subset_d_min(distances.values, members),
-            bit_width=math.log2(len(members)),
-        )
+        return _codebook(range(distances.size), METHOD_FIXED_RIS, distances)
     raise ValueError(f"method {method!r} has no selector")
 
 

@@ -317,8 +317,6 @@ def _canonical_value(value) -> str:
         return value.label
     if isinstance(value, tuple):
         return ",".join(_canonical_value(v) for v in value)
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):

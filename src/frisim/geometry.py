@@ -190,8 +190,6 @@ class Configuration:
 
 def config_from_units(part: UnitPartition, unit_indices) -> Configuration:
     units = frozenset(int(u) for u in unit_indices)
-    if not units:
-        raise ValueError("a configuration must activate at least one unit")
     for u in units:
         if not 0 <= u < part.unit_count:
             raise ValueError(f"unit index {u} out of range for {part.unit_count} units")

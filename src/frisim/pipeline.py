@@ -147,9 +147,8 @@ def _error_table(rows: list[tuple], metadata) -> ResultTable:
     return ResultTable(SCHEMA_ERRORS, ERROR_COLUMNS, clean, metadata)
 
 
-def _base_metadata(config: ExperimentConfig,
-                   extra: tuple[tuple[str, str], ...] = ()) -> tuple[tuple[str, str], ...]:
-    return extra + (
+def _base_metadata(config: ExperimentConfig) -> tuple[tuple[str, str], ...]:
+    return (
         ("config_hash", config_hash(config)),
         ("seeds", ",".join(str(s) for s in config.seeds)),
         ("trials", str(config.trials)),
@@ -211,14 +210,12 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
 
     error_rows: list[tuple] = []
     contexts: list[_ModeContext] = []
-    for mode_idx, mode in enumerate(config.modes):
+    # A fixed_ris-only run reads none of the configured modes' pools.
+    for mode_idx, mode in enumerate(config.modes if mode_methods else ()):
         try:
-            ctx = _mode_context(config, grid, mode_idx, mode_methods)
+            contexts.append(_mode_context(config, grid, mode_idx, mode_methods))
         except InfeasibleConstraintError as exc:
             error_rows.append(("candidates", mode.label, "", -1, str(exc)))
-            continue
-        if mode_methods:
-            contexts.append(ctx)
     if METHOD_FIXED_RIS in config.methods:
         quad_mode = GranularityMode.block(grid.rows // 2, grid.cols // 2)
         quadrants = enumerate_candidates(partition(grid, quad_mode), config.n_act, 4,
@@ -228,7 +225,8 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
 
     per_seed_rows: list[tuple] = []
     codebook_rows: list[tuple] = []
-    # (method, mode_label, snr_index) -> [K, trials, errors]
+    # (method, context slot, snr_index) -> [K, trials, errors]; two contexts
+    # may share a label (the quadrant baseline and a block mode), never a slot.
     totals: dict[tuple, list] = {}
     for seed in config.seeds:
         realization = draw_channel(grid, channel_params(config, seed))
@@ -256,7 +254,7 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
                     per_seed_rows.append((seed, method, k, config.n_act, ctx.label, snr,
                                           est.trials, est.errors, est.p_hat,
                                           est.ci95_half_width))
-                    cell = totals.setdefault((method, ctx.label, snr_idx), [k, 0, 0])
+                    cell = totals.setdefault((method, ctx.index, snr_idx), [k, 0, 0])
                     cell[1] += est.trials
                     cell[2] += est.errors
             # Free this context's M x M distances before the next context
@@ -266,10 +264,8 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
     aggregate_rows: list[tuple] = []
     for method in config.methods:
         for ctx in contexts:
-            if method not in ctx.methods:
-                continue
             for snr_idx, snr in enumerate(config.snr_db):
-                cell = totals.get((method, ctx.label, snr_idx))
+                cell = totals.get((method, ctx.index, snr_idx))
                 if cell is None:
                     continue
                 k, trials, errors = cell

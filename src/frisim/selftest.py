@@ -6,11 +6,10 @@ import math
 
 import numpy as np
 
-from frisim.channel import (ChannelParams, build_response_map, coupling_matrix,
+from frisim.channel import (ChannelParams, MapProvenance, ResponseMap, coupling_matrix,
                             draw_channel, effective_response)
-from frisim.codebook import (DistanceMatrix, effective_size, pairwise_distances,
-                             response_distance, select_maxmin_exact,
-                             select_maxmin_greedy)
+from frisim.codebook import (Codebook, DistanceMatrix, effective_size, response_distance,
+                             select_maxmin_exact, select_maxmin_greedy)
 from frisim.detection import pairwise_error_prob, simulate_ber, union_bound
 from frisim.geometry import (GranularityMode, build_grid, config_from_units,
                              enumerate_candidates, partition)
@@ -91,7 +90,6 @@ def _check_effective_size() -> None:
     values[0, 2] = values[2, 0] = 9.0
     values[1, 2] = values[2, 1] = 4.0
     distances = DistanceMatrix(values=values, domain_tag="response")
-    from frisim.codebook import Codebook
     codebook = Codebook(members=(0, 1, 2), selection_method="response_maxmin_greedy",
                         d_min=1.0, bit_width=math.log2(3))
     assert effective_size(codebook, distances, 2.0) == 2
@@ -114,8 +112,6 @@ def _check_throughput() -> None:
 def _check_binary_ber() -> None:
     rng = np.random.default_rng(42)
     responses = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
-    from frisim.channel import MapProvenance, ResponseMap
-    from frisim.codebook import Codebook
     response_map = ResponseMap(values=responses,
                                provenance=MapProvenance(0, 0.0, "none"))
     codebook = Codebook(members=(0, 1), selection_method="response_maxmin_exact",

@@ -69,8 +69,8 @@ def test_pairwise_distances_match_response_distance_bitwise():
 
 @pytest.mark.parametrize("r", [1, 2, 4, 7, 8, 9, 16, 17, 130])
 def test_pairwise_distances_across_row_blocks_match_response_distance(r):
-    # np.sum adds fewer than 8 terms in sequence, up to 128 in interleaved
-    # partial sums, and more in two halves; 320 candidates make three row
+    # Antenna counts on both sides of numpy's 8-term and 128-term summation
+    # blocks, which neither function follows; 320 candidates make three row
     # blocks of 2**15 entries.
     m = 320
     rng = np.random.default_rng(r)
@@ -80,6 +80,25 @@ def test_pairwise_distances_across_row_blocks_match_response_distance(r):
     for i in range(m):
         for j in range(i, m):
             assert d[i, j] == response_distance(values[i], values[j]), (i, j)
+
+
+@pytest.mark.parametrize("r", [8, 9, 130])
+def test_response_distance_sums_antenna_terms_in_index_order(r):
+    rng = np.random.default_rng(r)
+    a = rng.standard_normal((40, r)) + 1j * rng.standard_normal((40, r))
+    b = rng.standard_normal((40, r)) + 1j * rng.standard_normal((40, r))
+    blocked = 0
+    for x, y in zip(a, b):
+        diff = x - y
+        terms = diff.real ** 2 + diff.imag ** 2
+        total = 0.0
+        for term in terms:
+            total += term
+        assert response_distance(x, y) == total
+        blocked += float(np.sum(terms)) != total
+    # numpy sums 8 or more terms in blocks, so some rows must differ from
+    # the index order, or the assertions above could not tell them apart.
+    assert blocked
 
 
 def test_pairwise_distances_keep_degenerate_pairs():
@@ -236,10 +255,12 @@ def test_select_codebook_dispatches_to_each_selector():
     }
     for method, codebook in expected.items():
         assert select_codebook(method, distances, layout, 4, seed=5) == codebook
-    fixed = select_codebook("fixed_ris", distances, None, 4, seed=5)
-    assert fixed.members == tuple(range(10))
-    assert fixed.d_min == subset_d_min(distances.values, range(10))
-    assert fixed.bit_width == math.log2(10)
+    expected["fixed_ris"] = select_codebook("fixed_ris", distances, None, 4, seed=5)
+    assert expected["fixed_ris"].members == tuple(range(10))
+    for method, codebook in expected.items():
+        assert codebook.selection_method == method
+        assert codebook.d_min == subset_d_min(distances.values, codebook.members)
+        assert codebook.bit_width == math.log2(len(codebook.members))
     with pytest.raises(ValueError, match="layout"):
         select_codebook("layout_maxmin", distances, None, 4, seed=5)
     with pytest.raises(ValueError, match="no selector"):

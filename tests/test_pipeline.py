@@ -161,7 +161,15 @@ class TestRunBer:
         real = pipeline.pairwise_distances
         monkeypatch.setattr(pipeline, "pairwise_distances",
                             lambda m: sizes.append(len(m)) or real(m))
+        pools = []
+        real_enumerate = pipeline.enumerate_candidates
+
+        def enumerate_candidates(*args, **kwargs):
+            pools.append(real_enumerate(*args, **kwargs))
+            return pools[-1]
+        monkeypatch.setattr(pipeline, "enumerate_candidates", enumerate_candidates)
         tables = run_ber(small_ber_config(methods=("fixed_ris",)))
+        assert [len(pool) for pool in pools] == [4]
         assert sizes == [4, 4]
         assert [r[3] for r in tables["codebooks"].rows] == ["block:2x2"] * 2
 

@@ -1,7 +1,8 @@
 """Every exported name resolves, and every function the benchmark's tracer
 wraps still exists, so a deletion fails here and not when the tracer runs.
 The same holds for every name the benchmark imports from frisim and every
-keyword argument it passes to one."""
+keyword argument it passes to one. No frisim module imports a name it does
+not use, since pyflakes-style linters are not a dependency."""
 
 import ast
 import importlib
@@ -77,3 +78,40 @@ def test_names_and_keywords_the_benchmark_uses_resolve():
                     problems.append(f"{path.name}:{node.lineno}: {node.func.id}() "
                                     f"takes no keyword {keyword.arg!r}")
     assert not problems, "\n".join(problems)
+
+
+SRC = Path(frisim.__file__).resolve().parent
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``file:line name`` for each name ``path`` imports and neither reads,
+    lists in ``__all__`` nor marks with ``# noqa: F401`` inside the import
+    statement."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                unused.append(f"{path.name}:{node.lineno} {bound}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources, f"no sources under {SRC}"
+    unused = [entry for path in sources for entry in _unused_imports(path)]
+    assert not unused, f"unused imports: {', '.join(unused)}"

@@ -24,6 +24,10 @@ covers the truth-map detection path and the exhaustive selector. Its
 A design-only ``run_ber`` with seven receive antennas pins the response
 distances at the largest antenna count where index-order and numpy's blocked
 summation of the antenna terms still agree.
+
+A LoS sweep pins what scenario B leaves out: the exponential kernel, seven
+receive antennas, calibrated maps, a K cap (block:4x4 has four layouts) and
+four modes that share one channel realization.
 """
 
 import hashlib
@@ -142,3 +146,20 @@ def test_seven_antenna_design_codebooks_match_the_pinned_hash(tmp_path):
     emit_table(tables["codebooks"], tmp_path / "codebooks.csv")
     digest = hashlib.sha256((tmp_path / "codebooks.csv").read_bytes()).hexdigest()
     assert digest == PINNED_SEVEN_ANTENNA_CODEBOOKS
+
+
+LOS_SWEEP = ExperimentConfig(
+    modes=(GranularityMode.element(), GranularityMode.group(2, 2),
+           GranularityMode.block(4, 4), GranularityMode.group(2, 4)),
+    m_samples=300, fading="los", kernel="exponential", rho=0.4, rx_antennas=7,
+    estimation_error_var=0.02, k=6, sweep_snr_db=5.0, trials=800, seeds=(5, 9, 13))
+
+PINNED_LOS_SWEEP = "4abea191212d6f0221ba2819fdec0690cd86a75f4cd3c695ecb4e09c6e110da6"
+
+
+def test_los_sweep_matches_the_pinned_hash(tmp_path):
+    tables = run_sweep(LOS_SWEEP)
+    assert set(tables) == {"sweep"}
+    emit_table(tables["sweep"], tmp_path / "sweep.csv")
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == \
+        PINNED_LOS_SWEEP

@@ -33,8 +33,8 @@ from frisim.geometry import (ApertureGrid, CandidateSet, Configuration,
 from frisim.pipeline import (ResultTable, design_artifacts, emit_table,
                              read_table, reproduce_scenario_a,
                              reproduce_scenario_b, run_ber, run_sweep)
-from frisim.throughput import (OverheadParams, ThroughputReport, evaluate_mode,
-                               net_throughput, overhead_fraction)
+from frisim.throughput import (ThroughputReport, evaluate_mode, net_throughput,
+                               overhead_fraction)
 
 __all__ = [
     "__version__",
@@ -42,7 +42,7 @@ __all__ = [
     "ChannelRealization", "Codebook", "ConfigError", "Configuration",
     "CouplingMatrix", "DistanceMatrix", "ExperimentConfig",
     "GranularityMode", "InfeasibleConstraintError", "MapProvenance",
-    "OverheadParams", "ResponseMap", "ResultTable",
+    "ResponseMap", "ResultTable",
     "ThroughputReport", "UnitPartition",
     "build_grid", "build_response_map", "config_from_units", "config_hash",
     "coupling_matrix", "design_artifacts", "detect_index", "draw_channel",

@@ -79,11 +79,11 @@ def response_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(total)
 
 
-def _symmetric_from_row_blocks(m: int, block) -> np.ndarray:
-    """(m, m) matrix from its upper triangle: ``block(start, stop)`` gives rows
-    start:stop against columns start:, and each block is mirrored below the
-    diagonal."""
-    out = np.empty((m, m))
+def _symmetric_from_row_blocks(m: int, block, dtype) -> np.ndarray:
+    """(m, m) ``dtype`` matrix from its upper triangle: ``block(start, stop)``
+    gives rows start:stop against columns start:, and each block is mirrored
+    below the diagonal."""
+    out = np.empty((m, m), dtype=dtype)
     # Row blocks of about 2^15 entries keep the temporaries in cache and the
     # work close to half of the full matrix.
     chunk = max(1, (1 << 15) // max(1, m))
@@ -121,7 +121,7 @@ def pairwise_distances(response_map: ResponseMap) -> DistanceMatrix:
             total += term(t)
         return total
 
-    out = _symmetric_from_row_blocks(len(response_map), block)
+    out = _symmetric_from_row_blocks(len(response_map), block, np.float64)
     np.fill_diagonal(out, 0.0)
     return DistanceMatrix(values=out, domain_tag=DOMAIN_RESPONSE)
 
@@ -135,17 +135,20 @@ def layout_distances(candidates: CandidateSet) -> DistanceMatrix:
 
     Counted exactly as popcounts of XORed bit-packed masks, one mask byte at a
     time. An integer matmul is several times slower, and a float one runs
-    multi-threaded BLAS for a product this size.
+    multi-threaded BLAS for a product this size. A count never exceeds the
+    grid's element count, so the matrix holds the smallest unsigned type that
+    fits it (uint8 up to 255 elements).
     """
     packed = np.ascontiguousarray(np.packbits(candidates.masks() != 0, axis=1).T)
+    dtype = np.min_scalar_type(candidates.grid.n_elements)
 
     def block(start: int, stop: int) -> np.ndarray:
-        count = np.zeros((stop - start, len(candidates) - start), dtype=np.int64)
+        count = np.zeros((stop - start, len(candidates) - start), dtype=dtype)
         for byte in packed:
             count += _POPCOUNT.take(byte[start:stop, None] ^ byte[None, start:])
         return count
 
-    out = _symmetric_from_row_blocks(len(candidates), block)
+    out = _symmetric_from_row_blocks(len(candidates), block, dtype)
     return DistanceMatrix(values=out, domain_tag=DOMAIN_LAYOUT)
 
 
@@ -168,7 +171,7 @@ def _greedy_members(values: np.ndarray, k: int) -> list[int]:
     if first == second:
         first, second = 0, 1
     members = [first, second]
-    gap = np.minimum(values[first], values[second])
+    gap = np.minimum(values[first], values[second]).astype(float, copy=False)
     gap[members] = -np.inf
     while len(members) < k:
         nxt = int(np.argmax(gap))

@@ -31,7 +31,8 @@ from frisim.geometry import (ApertureGrid, CandidateSet, GranularityMode,
 # TAG_CHANNEL is not used here (config.channel_params derives the channel
 # seed); the benchmark's tests import it from this module.
 from frisim.seeding import (TAG_BER, TAG_CANDIDATES, TAG_CHANNEL, TAG_MAP,  # noqa: F401
-                            TAG_SELECT, TAG_SWEEP_SEEDS, derive_seed)
+                            TAG_SELECT, TAG_SWEEP_CANDIDATES, TAG_SWEEP_MAP,
+                            TAG_SWEEP_SEEDS, derive_seed)
 from frisim.serialize import format_float
 from frisim.throughput import evaluate_mode
 
@@ -178,15 +179,22 @@ def _mode_context(config: ExperimentConfig, grid: ApertureGrid, mode_idx: int,
     return _ModeContext(mode_idx, mode.label, candidates, layout, methods)
 
 
+def _design_maps(config: ExperimentConfig, candidates: CandidateSet,
+                 realization: ChannelRealization, coupling: CouplingMatrix,
+                 map_seed: int) -> tuple[ResponseMap, ResponseMap | None, DistanceMatrix]:
+    """Design map, true map (None when uncalibrated) and response distances
+    of ``candidates``, with calibration noise drawn from ``map_seed``."""
+    design_map, truth = build_design_maps(candidates, realization, coupling,
+                                          config.estimation_error_var, seed=map_seed)
+    return design_map, truth, pairwise_distances(design_map)
+
+
 def _design(config: ExperimentConfig, ctx: _ModeContext, realization: ChannelRealization,
             coupling: CouplingMatrix, seed: int
             ) -> tuple[ResponseMap, ResponseMap | None, DistanceMatrix]:
-    """Design map, true map (None when uncalibrated) and response distances
-    of ``ctx``'s candidates under run seed ``seed``."""
-    design_map, truth = build_design_maps(
-        ctx.candidates, realization, coupling, config.estimation_error_var,
-        seed=derive_seed(seed, TAG_MAP, ctx.index))
-    return design_map, truth, pairwise_distances(design_map)
+    """``_design_maps`` of ``ctx``'s candidates under run seed ``seed``."""
+    return _design_maps(config, ctx.candidates, realization, coupling,
+                        derive_seed(seed, TAG_MAP, ctx.index))
 
 
 def _select(config: ExperimentConfig, ctx: _ModeContext, method: str,
@@ -291,15 +299,27 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
 def run_sweep(config: ExperimentConfig) -> dict[str, ResultTable]:
     """Granularity sweep at the reference SNR; returns ``sweep`` (+ ``errors``).
 
-    An infeasible mode (InfeasibleConstraintError) becomes an error row and
-    the sweep goes on; any other error propagates. Rows keep the mode order.
+    One channel realization, from the first seed, drives the design of every
+    mode; evaluate_mode prices each designed pool. An infeasible mode
+    (InfeasibleConstraintError) becomes an error row and the sweep goes on;
+    any other error propagates. Rows keep the mode order.
     """
     require_valid(config, for_ber=False)
+    grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
+    coupling = coupling_matrix(grid, config.rho, config.kernel)
+    realization = draw_channel(grid, channel_params(config, config.seeds[0]))
+    map_seed = derive_seed(realization.seed, TAG_SWEEP_MAP)
     sweep_rows: list[tuple] = []
     error_rows: list[tuple] = []
     for mode_idx, mode in enumerate(config.modes):
         try:
-            rep = evaluate_mode(config, mode_idx)
+            candidates = enumerate_candidates(
+                partition(grid, mode), config.n_act, config.m_samples,
+                config.min_unit_spacing,
+                seed=derive_seed(derive_seed(config.candidate_seed, mode_idx),
+                                 TAG_SWEEP_CANDIDATES))
+            rep = evaluate_mode(config, candidates, *_design_maps(
+                config, candidates, realization, coupling, map_seed))
         except InfeasibleConstraintError as exc:
             error_rows.append(("sweep", mode.label, METHOD_GREEDY, -1, str(exc)))
             continue

@@ -10,10 +10,11 @@ from frisim.channel import (ChannelParams, MapProvenance, ResponseMap, coupling_
                             draw_channel, effective_response)
 from frisim.codebook import (Codebook, DistanceMatrix, effective_size, response_distance,
                              select_maxmin_exact, select_maxmin_greedy)
+from frisim.config import ExperimentConfig
 from frisim.detection import pairwise_error_prob, simulate_ber, union_bound
 from frisim.geometry import (GranularityMode, build_grid, config_from_units,
                              enumerate_candidates, partition)
-from frisim.throughput import OverheadParams, net_throughput, overhead_fraction
+from frisim.throughput import net_throughput, overhead_fraction
 
 
 def _scalar_distances(values) -> DistanceMatrix:
@@ -102,8 +103,8 @@ def _check_error_prob() -> None:
 
 def _check_throughput() -> None:
     part = partition(build_grid(8, 8, 0.5), GranularityMode.group(2, 2))
-    params = OverheadParams(alpha_unit=1.0, beta_codeword=2.0, coherence_symbols=128.0)
-    assert overhead_fraction(part, 8, params) == 0.25
+    config = ExperimentConfig(alpha_unit=1.0, beta_codeword=2.0, coherence_symbols=128.0)
+    assert overhead_fraction(part, 8, config) == 0.25
     assert net_throughput(4, 0.5, 0.0) == 1.0
     assert net_throughput(4, 1.0, 0.0) == 0.0
     assert net_throughput(4, 0.25, 1.0) == 0.0

@@ -1,4 +1,4 @@
-"""Overhead-penalized net throughput and the per-mode pass of the granularity sweep.
+"""Overhead-penalized net throughput: the evaluation of the granularity sweep.
 
 Net spatial-index throughput in bits per channel use:
 
@@ -15,29 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from frisim.channel import build_design_maps, coupling_matrix, draw_channel
-from frisim.codebook import effective_size, pairwise_distances, select_maxmin_greedy
-from frisim.config import ExperimentConfig, channel_params
+from frisim.channel import ResponseMap
+from frisim.codebook import DistanceMatrix, effective_size, select_maxmin_greedy
+from frisim.config import ExperimentConfig
 from frisim.detection import noise_for_snr_db, simulate_ber
-from frisim.geometry import (GranularityMode, InfeasibleConstraintError, UnitPartition,
-                             build_grid, enumerate_candidates, partition)
-from frisim.seeding import (TAG_SWEEP_BER, TAG_SWEEP_CANDIDATES, TAG_SWEEP_MAP,
-                            TAG_SWEEP_SEEDS, derive_seed)
-
-
-@dataclass(frozen=True)
-class OverheadParams:
-    """Linear pilot-cost model against the coherence budget."""
-
-    alpha_unit: float = 1.0       # reconfiguration pilots per actuation unit
-    beta_codeword: float = 2.0    # verification pilots per codeword
-    coherence_symbols: float = 256.0
-
-    def __post_init__(self) -> None:
-        if self.alpha_unit < 0 or self.beta_codeword < 0:
-            raise ValueError("overhead coefficients must be >= 0")
-        if not (self.coherence_symbols > 0):
-            raise ValueError("coherence_symbols must be positive")
+from frisim.geometry import (CandidateSet, GranularityMode, InfeasibleConstraintError,
+                             UnitPartition)
+from frisim.seeding import TAG_SWEEP_BER, TAG_SWEEP_SEEDS, derive_seed
 
 
 @dataclass(frozen=True)
@@ -52,12 +36,14 @@ class ThroughputReport:
     net_bits: float
 
 
-def overhead_fraction(part: UnitPartition, k: int, params: OverheadParams) -> float:
-    """Fraction of the coherence budget spent on reconfiguration and verification."""
+def overhead_fraction(part: UnitPartition, k: int, config: ExperimentConfig) -> float:
+    """Fraction of the coherence budget spent on reconfiguration and
+    verification: ``alpha_unit`` pilots per unit of ``part`` plus
+    ``beta_codeword`` pilots per codeword, over ``coherence_symbols``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    cost = params.alpha_unit * part.unit_count + params.beta_codeword * k
-    return min(1.0, cost / params.coherence_symbols)
+    cost = config.alpha_unit * part.unit_count + config.beta_codeword * k
+    return min(1.0, cost / config.coherence_symbols)
 
 
 def net_throughput(k_eff: int, overhead_frac: float, p_e: float) -> float:
@@ -76,53 +62,39 @@ def _median_pairwise(values: np.ndarray) -> float:
     return float(np.median(values[iu]))
 
 
-def evaluate_mode(config: ExperimentConfig, mode_index: int) -> ThroughputReport:
-    """Full design-and-evaluate pass for ``config.modes[mode_index]``.
+def evaluate_mode(config: ExperimentConfig, candidates: CandidateSet,
+                  design_map: ResponseMap, truth: ResponseMap | None,
+                  distances: DistanceMatrix) -> ThroughputReport:
+    """Net throughput of one designed sweep pool.
 
-    One channel realization (from the first seed) drives design and
-    evaluation; every seed varies the error-rate estimation noise. The
-    codebook size is capped at the candidate count, and the pruning threshold
-    is ``keff_delta_frac`` times the median pairwise response distance. A mode
-    with fewer than two candidates raises InfeasibleConstraintError.
+    ``design_map``, ``truth`` (None when uncalibrated) and ``distances`` are
+    the design of ``candidates``. The codebook size is capped at the candidate
+    count, and the pruning threshold is ``keff_delta_frac`` times the median
+    pairwise response distance. Every seed varies the error-rate estimation
+    noise. A pool with fewer than two candidates raises
+    InfeasibleConstraintError.
     """
-    grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
-    mode = config.modes[mode_index]
-    part = partition(grid, mode)
-    candidates = enumerate_candidates(
-        part, config.n_act, config.m_samples, config.min_unit_spacing,
-        seed=derive_seed(derive_seed(config.candidate_seed, mode_index),
-                         TAG_SWEEP_CANDIDATES))
+    part = candidates.partition
     k = min(config.k, len(candidates))
     if k < 2:
         raise InfeasibleConstraintError(
-            f"mode {mode.label} yields {len(candidates)} candidate(s); "
+            f"mode {part.mode.label} yields {len(candidates)} candidate(s); "
             f"a codebook needs at least 2")
-
-    coupling = coupling_matrix(grid, config.rho, config.kernel)
-    realization = draw_channel(grid, channel_params(config, config.seeds[0]))
-    response_map, truth = build_design_maps(
-        candidates, realization, coupling, config.estimation_error_var,
-        seed=derive_seed(realization.seed, TAG_SWEEP_MAP))
-    distances = pairwise_distances(response_map)
     codebook = select_maxmin_greedy(distances, k)
-
     delta = config.keff_delta_frac * _median_pairwise(distances.values)
     k_eff = effective_size(codebook, distances, delta)
-    overhead = OverheadParams(alpha_unit=config.alpha_unit,
-                              beta_codeword=config.beta_codeword,
-                              coherence_symbols=config.coherence_symbols)
-    oh = overhead_fraction(part, k, overhead)
+    oh = overhead_fraction(part, k, config)
 
-    n0 = noise_for_snr_db(codebook, response_map, config.sweep_snr_db)
+    n0 = noise_for_snr_db(codebook, design_map, config.sweep_snr_db)
     p_values = [
-        simulate_ber(codebook, response_map, n0, config.trials,
+        simulate_ber(codebook, design_map, n0, config.trials,
                      seed=derive_seed(derive_seed(s, TAG_SWEEP_SEEDS), TAG_SWEEP_BER),
                      truth=truth).p_hat
         for s in config.seeds
     ]
     p_e = float(np.mean(p_values))
     return ThroughputReport(
-        mode=mode,
+        mode=part.mode,
         unit_count=part.unit_count,
         k=k,
         k_eff=k_eff,

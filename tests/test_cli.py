@@ -130,7 +130,7 @@ def test_zero_trial_sweep_is_a_config_error(capsys, tmp_path, config_file):
 
 def test_error_messages_cannot_corrupt_the_manifest(capsys, tmp_path, config_file,
                                                     monkeypatch):
-    def failing_mode(config, mode_index):
+    def failing_mode(*args):
         raise InfeasibleConstraintError("bad mode, see #3\nsecond line")
 
     monkeypatch.setattr(pipeline, "evaluate_mode", failing_mode)

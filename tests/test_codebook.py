@@ -130,6 +130,40 @@ def test_layout_distances_match_with_a_partial_mask_byte(rows, cols, n_act, m):
             assert d.values[i, j] == layout_distance(a, b)
 
 
+@pytest.mark.parametrize("rows, cols, n_act", [(4, 4, 4), (16, 17, 8)])
+def test_layout_distances_use_the_smallest_unsigned_type_for_the_grid(rows, cols,
+                                                                      n_act):
+    # 16 elements fit uint8; 272 need uint16.
+    part = partition(build_grid(rows, cols, 0.5), GranularityMode.element())
+    cands = enumerate_candidates(part, n_act, 30, 0.0, seed=3)
+    values = layout_distances(cands).values
+    assert values.dtype.kind == "u"
+    assert values.dtype == np.min_scalar_type(rows * cols)
+    assert np.iinfo(values.dtype).max >= rows * cols
+    for i, a in enumerate(cands.configurations[:5]):
+        for j, b in enumerate(cands.configurations):
+            assert values[i, j] == layout_distance(a, b)
+
+
+def test_layout_greedy_on_integer_counts_matches_a_float64_copy():
+    part = partition(build_grid(4, 4, 0.5), GranularityMode.element())
+    cands = enumerate_candidates(part, 4, 40, 0.0, seed=5)
+    layout = layout_distances(cands)
+    as_float = DistanceMatrix(values=layout.values.astype(np.float64), domain_tag="layout")
+    response = _scalar_distances(np.arange(len(cands)))
+    for k in range(2, 9):
+        assert (select_layout_maxmin(layout, response, k).members
+                == select_layout_maxmin(as_float, response, k).members)
+
+    # Every pair tied: both start from (0, 1) and take the lowest id each step.
+    tied = np.full((5, 5), 2, dtype=np.uint8)
+    np.fill_diagonal(tied, 0)
+    for values in (tied, tied.astype(np.float64)):
+        codebook = select_layout_maxmin(DistanceMatrix(values, "layout"),
+                                        _scalar_distances(np.arange(5)), 4)
+        assert codebook.members == (0, 1, 2, 3)
+
+
 def test_greedy_selection_on_scalar_line():
     distances = _scalar_distances([0.0, 1.0, 2.0, 5.0])
     pair = select_maxmin_greedy(distances, 2)

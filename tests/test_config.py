@@ -84,6 +84,15 @@ def test_validate_needs_trials_for_the_sweep_only():
     assert validate(zero, for_ber=True) == []  # a BER run still designs codebooks
 
 
+def test_validate_rejects_negative_or_zero_overhead_charges():
+    for field, value in (("alpha_unit", -1.0), ("beta_codeword", -0.5)):
+        assert validate(ExperimentConfig(**{field: value})) == [
+            "overhead coefficients must be >= 0"], field
+    assert validate(ExperimentConfig(coherence_symbols=0.0)) == [
+        "overhead.coherence_symbols must be positive"]
+    assert validate(ExperimentConfig(alpha_unit=0.0, beta_codeword=0.0)) == []
+
+
 def test_validate_checks_mode_tiling_and_divisibility():
     assert any("does not tile" in p for p in
                validate(ExperimentConfig(modes=(GranularityMode.group(3, 3),))))

@@ -4,43 +4,36 @@ import numpy as np
 import pytest
 
 from frisim import pipeline
-from frisim.config import ConfigError, ExperimentConfig
+from frisim.channel import build_design_maps, coupling_matrix, draw_channel
+from frisim.codebook import pairwise_distances
+from frisim.config import ConfigError, ExperimentConfig, channel_params
 from frisim.geometry import (GranularityMode, InfeasibleConstraintError, build_grid,
-                             partition)
+                             enumerate_candidates, partition)
 from frisim.pipeline import run_sweep
-from frisim.throughput import (OverheadParams, evaluate_mode, net_throughput,
-                               overhead_fraction)
-
-
-def test_overhead_params_validation():
-    with pytest.raises(ValueError):
-        OverheadParams(alpha_unit=-1.0)
-    with pytest.raises(ValueError):
-        OverheadParams(beta_codeword=-0.5)
-    with pytest.raises(ValueError):
-        OverheadParams(coherence_symbols=0.0)
+from frisim.seeding import TAG_SWEEP_CANDIDATES, TAG_SWEEP_MAP, derive_seed
+from frisim.throughput import evaluate_mode, net_throughput, overhead_fraction
 
 
 def test_overhead_fraction_hand_values():
     grid = build_grid(8, 8, 0.5)
     group = partition(grid, GranularityMode.group(2, 2))
-    params = OverheadParams(alpha_unit=1.0, beta_codeword=2.0, coherence_symbols=128.0)
-    assert overhead_fraction(group, 8, params) == (16 + 16) / 128
+    config = ExperimentConfig(alpha_unit=1.0, beta_codeword=2.0, coherence_symbols=128.0)
+    assert overhead_fraction(group, 8, config) == (16 + 16) / 128
 
     element = partition(grid, GranularityMode.element())
-    consumed = OverheadParams(alpha_unit=1.0, beta_codeword=0.0, coherence_symbols=64.0)
+    consumed = ExperimentConfig(alpha_unit=1.0, beta_codeword=0.0, coherence_symbols=64.0)
     assert overhead_fraction(element, 8, consumed) == 1.0
 
-    free = OverheadParams(alpha_unit=0.0, beta_codeword=0.0, coherence_symbols=64.0)
+    free = ExperimentConfig(alpha_unit=0.0, beta_codeword=0.0, coherence_symbols=64.0)
     assert overhead_fraction(element, 8, free) == 0.0
 
 
 def test_overhead_fraction_clips_and_validates():
     part = partition(build_grid(8, 8, 0.5), GranularityMode.element())
-    params = OverheadParams(alpha_unit=100.0, beta_codeword=0.0, coherence_symbols=10.0)
-    assert overhead_fraction(part, 2, params) == 1.0
+    config = ExperimentConfig(alpha_unit=100.0, beta_codeword=0.0, coherence_symbols=10.0)
+    assert overhead_fraction(part, 2, config) == 1.0
     with pytest.raises(ValueError):
-        overhead_fraction(part, 0, params)
+        overhead_fraction(part, 0, config)
 
 
 def test_net_throughput_anchor_points():
@@ -76,10 +69,26 @@ def _config(*modes, **overrides):
     return ExperimentConfig(modes=modes, **overrides)
 
 
+def _designed_pool(config, mode_index):
+    """``config.modes[mode_index]``'s pool and its design, built step by step
+    with the sweep's seeds: candidates, design map, true map, distances."""
+    grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
+    candidates = enumerate_candidates(
+        partition(grid, config.modes[mode_index]), config.n_act, config.m_samples,
+        config.min_unit_spacing,
+        seed=derive_seed(derive_seed(config.candidate_seed, mode_index),
+                         TAG_SWEEP_CANDIDATES))
+    realization = draw_channel(grid, channel_params(config, config.seeds[0]))
+    design_map, truth = build_design_maps(
+        candidates, realization, coupling_matrix(grid, config.rho, config.kernel),
+        config.estimation_error_var, seed=derive_seed(realization.seed, TAG_SWEEP_MAP))
+    return candidates, design_map, truth, pairwise_distances(design_map)
+
+
 def test_evaluate_mode_report_is_internally_consistent():
     config = _config(GranularityMode.group(2, 2), m_samples=128, trials=2000,
                      seeds=(1, 2))
-    report = evaluate_mode(config, 0)
+    report = evaluate_mode(config, *_designed_pool(config, 0))
     assert report.mode == GranularityMode.group(2, 2)
     assert report.unit_count == 16
     assert report.k == 8
@@ -90,21 +99,56 @@ def test_evaluate_mode_report_is_internally_consistent():
 
 
 def test_evaluate_mode_caps_k_at_candidate_count():
-    report = evaluate_mode(_config(GranularityMode.block(4, 4), trials=1000, seeds=(1,)), 0)
+    config = _config(GranularityMode.block(4, 4), trials=1000, seeds=(1,))
+    report = evaluate_mode(config, *_designed_pool(config, 0))
     assert report.k == 4  # only 4 one-block layouts exist
     assert report.raw_bits <= 2.0
 
 
 def test_evaluate_mode_is_deterministic():
     config = _config(GranularityMode.element(), m_samples=64, trials=1500, seeds=(4, 5))
-    assert evaluate_mode(config, 0) == evaluate_mode(config, 0)
+    pool = _designed_pool(config, 0)
+    assert evaluate_mode(config, *pool) == evaluate_mode(config, *pool)
 
 
 def test_evaluate_mode_needs_two_candidates():
     config = _config(GranularityMode.block(4, 4), grid_rows=4, grid_cols=4,
                      trials=100, seeds=(1,))
     with pytest.raises(InfeasibleConstraintError, match="yields 1 candidate"):
-        evaluate_mode(config, 0)
+        evaluate_mode(config, *_designed_pool(config, 0))
+
+
+def test_evaluate_mode_on_a_hand_built_design_equals_the_sweep_row():
+    config = _config(GranularityMode.element(), GranularityMode.group(2, 2),
+                     GranularityMode.block(4, 4), m_samples=96, rx_antennas=3,
+                     estimation_error_var=0.03, sweep_snr_db=3.0, trials=600,
+                     seeds=(2, 8))
+    rows = run_sweep(config)["sweep"].rows
+    for mode_index in range(len(config.modes)):
+        rep = evaluate_mode(config, *_designed_pool(config, mode_index))
+        assert rows[mode_index] == (rep.mode.label, rep.unit_count, rep.k, rep.k_eff,
+                                    rep.raw_bits, rep.overhead_fraction, rep.p_e,
+                                    rep.net_bits)
+
+
+def test_sweep_draws_one_channel_and_one_coupling(monkeypatch):
+    calls = {"draw_channel": 0, "coupling_matrix": 0}
+
+    def counting(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    config = _config(GranularityMode.element(), GranularityMode.group(2, 2),
+                     GranularityMode.block(4, 4), m_samples=64, trials=100,
+                     seeds=(1, 2))
+    assert len(run_sweep(config)["sweep"].rows) == 3
+    assert calls == {"draw_channel": 1, "coupling_matrix": 1}
 
 
 def test_granularity_sweep_preserves_order_and_isolates_failures():
@@ -122,7 +166,7 @@ def test_granularity_sweep_preserves_order_and_isolates_failures():
 
 
 def test_granularity_sweep_raises_errors_that_are_not_infeasibility(monkeypatch):
-    def broken(config, mode_index):
+    def broken(*args):
         raise ValueError("delta must be >= 0")
 
     monkeypatch.setattr(pipeline, "evaluate_mode", broken)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -125,19 +125,21 @@ class UnitPartition:
 
     grid: ApertureGrid
     mode: GranularityMode
-    units: tuple[frozenset[int], ...]
-    unit_count: int
+    elements: np.ndarray = field(compare=False)  # (U, unit_size) ascending ids, read-only
+
+    @property
+    def unit_count(self) -> int:
+        return self.elements.shape[0]
 
     @property
     def unit_size(self) -> int:
-        return len(self.units[0])
+        return self.elements.shape[1]
 
     @cached_property
     def unit_of_element(self) -> np.ndarray:
         """(N,) lookup mapping element index to its unit index."""
         lut = np.empty(self.grid.n_elements, dtype=np.int64)
-        for u, members in enumerate(self.units):
-            lut[list(members)] = u
+        lut[self.elements] = np.arange(self.unit_count)[:, None]
         lut.flags.writeable = False
         return lut
 
@@ -151,21 +153,15 @@ def partition(grid: ApertureGrid, mode: GranularityMode) -> UnitPartition:
     if grid.rows % gr or grid.cols % gc:
         raise InfeasibleConstraintError(
             f"unit tile {gr}x{gc} does not divide grid {grid.rows}x{grid.cols}")
-    units: list[frozenset[int]] = []
-    for tile_r in range(grid.rows // gr):
-        for tile_c in range(grid.cols // gc):
-            members = frozenset(
-                (tile_r * gr + dr) * grid.cols + (tile_c * gc + dc)
-                for dr in range(gr)
-                for dc in range(gc))
-            units.append(members)
-    return UnitPartition(grid=grid, mode=mode, units=tuple(units), unit_count=len(units))
+    tiles = np.arange(grid.n_elements).reshape(grid.rows // gr, gr, grid.cols // gc, gc)
+    elements = tiles.transpose(0, 2, 1, 3).reshape(-1, gr * gc)
+    elements.flags.writeable = False
+    return UnitPartition(grid=grid, mode=mode, elements=elements)
 
 
 def unit_centroids(part: UnitPartition) -> np.ndarray:
     """(U, 2) centroid coordinates of every unit."""
-    pos = part.grid.positions
-    return np.array([pos[sorted(members)].mean(axis=0) for members in part.units])
+    return part.grid.positions[part.elements].mean(axis=1)
 
 
 def default_min_unit_spacing(mode: GranularityMode) -> float:
@@ -179,13 +175,14 @@ class Configuration:
 
     active_units: frozenset[int]
     active_elements: frozenset[int]
-    n_act: int
 
     def __post_init__(self) -> None:
         if not self.active_units:
             raise ValueError("a configuration must activate at least one unit")
-        if len(self.active_elements) != self.n_act:
-            raise ValueError("n_act must equal the number of active elements")
+
+    @property
+    def n_act(self) -> int:
+        return len(self.active_elements)
 
 
 def config_from_units(part: UnitPartition, unit_indices) -> Configuration:
@@ -193,8 +190,8 @@ def config_from_units(part: UnitPartition, unit_indices) -> Configuration:
     for u in units:
         if not 0 <= u < part.unit_count:
             raise ValueError(f"unit index {u} out of range for {part.unit_count} units")
-    elements = frozenset(itertools.chain.from_iterable(part.units[u] for u in units))
-    return Configuration(active_units=units, active_elements=elements, n_act=len(elements))
+    elements = frozenset(part.elements[sorted(units)].ravel().tolist())
+    return Configuration(active_units=units, active_elements=elements)
 
 
 def activation_mask(config: Configuration, n_elements: int) -> np.ndarray:
@@ -207,21 +204,27 @@ def activation_mask(config: Configuration, n_elements: int) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
     """Deterministically generated pool of candidate configurations.
 
-    Candidate ids are positions in ``configurations``.
+    ``units`` is the read-only (M, n_units) array of each candidate's
+    ascending unit ids; candidate ids are its row positions.
     """
 
     grid: ApertureGrid
     partition: UnitPartition
-    configurations: tuple[Configuration, ...]
+    units: np.ndarray
     seed: int
     min_unit_spacing: float
 
     def __len__(self) -> int:
-        return len(self.configurations)
+        return self.units.shape[0]
+
+    @cached_property
+    def configurations(self) -> tuple[Configuration, ...]:
+        """One Configuration per candidate id, built on first access."""
+        return tuple(config_from_units(self.partition, row) for row in self.units)
 
     def masks(self) -> np.ndarray:
         """(M, N) 0/1 activation masks, one row per candidate id; read-only."""
@@ -229,13 +232,8 @@ class CandidateSet:
 
     @cached_property
     def _masks(self) -> np.ndarray:
-        configs = self.configurations
-        sizes = np.fromiter((cfg.n_act for cfg in configs), dtype=np.intp, count=len(configs))
-        elements = np.fromiter(
-            itertools.chain.from_iterable(cfg.active_elements for cfg in configs),
-            dtype=np.intp, count=int(sizes.sum()))
-        out = np.zeros((len(configs), self.grid.n_elements))
-        out[np.repeat(np.arange(len(configs)), sizes), elements] = 1.0
+        out = np.zeros((len(self), self.grid.n_elements))
+        out[np.arange(len(self))[:, None, None], self.partition.elements[self.units]] = 1.0
         out.flags.writeable = False
         return out
 
@@ -247,17 +245,7 @@ def _centroid_distances(part: UnitPartition) -> np.ndarray:
 
 
 def _spacing_ok(unit_tuple, bad_pairs: np.ndarray | None) -> bool:
-    if bad_pairs is None or len(unit_tuple) < 2:
-        return True
-    sub = bad_pairs[np.ix_(unit_tuple, unit_tuple)]
-    return not sub.any()
-
-
-def _exhaustive_feasible(unit_count: int, n_units: int, bad_pairs: np.ndarray | None):
-    combos = itertools.combinations(range(unit_count), n_units)
-    if bad_pairs is None:
-        return list(combos)
-    return [c for c in combos if _spacing_ok(c, bad_pairs)]
+    return bad_pairs is None or not bad_pairs[np.ix_(unit_tuple, unit_tuple)].any()
 
 
 def enumerate_candidates(
@@ -299,8 +287,7 @@ def enumerate_candidates(
 
     bad_pairs = None
     if min_unit_spacing > 0 and n_units >= 2:
-        dists = _centroid_distances(part)
-        bad = dists < min_unit_spacing
+        bad = _centroid_distances(part) < min_unit_spacing
         np.fill_diagonal(bad, False)
         if bad.any():
             bad_pairs = bad
@@ -310,16 +297,18 @@ def enumerate_candidates(
                   and total_combos <= EXHAUSTIVE_COMBO_LIMIT)
 
     if exhaustive:
-        feasible = _exhaustive_feasible(part.unit_count, n_units, bad_pairs)
-        if not feasible:
+        # combinations() is lexicographic, so every row subset below stays sorted
+        chosen = np.array(list(itertools.combinations(range(part.unit_count), n_units)),
+                          dtype=np.intp)
+        if bad_pairs is not None:
+            chosen = chosen[~bad_pairs[chosen[:, :, None], chosen[:, None, :]].any(axis=(1, 2))]
+        if not len(chosen):
             raise InfeasibleConstraintError(
                 f"min_unit_spacing={min_unit_spacing} rejects all {total_combos} "
                 f"{n_units}-unit subsets; the spacing rule is the binding constraint")
-        if len(feasible) > m_samples:
+        if len(chosen) > m_samples:
             rng = np.random.default_rng(seed)
-            picks = rng.choice(len(feasible), size=m_samples, replace=False)
-            feasible = [feasible[i] for i in picks]
-        chosen = sorted(feasible)
+            chosen = chosen[np.sort(rng.choice(len(chosen), size=m_samples, replace=False))]
     else:
         rng = np.random.default_rng(seed)
         found: set[tuple[int, ...]] = set()
@@ -328,9 +317,7 @@ def enumerate_candidates(
         while len(found) < m_samples and attempts < budget:
             attempts += 1
             draw = tuple(sorted(rng.choice(part.unit_count, size=n_units, replace=False).tolist()))
-            if draw in found:
-                continue
-            if _spacing_ok(draw, bad_pairs):
+            if draw not in found and _spacing_ok(draw, bad_pairs):
                 found.add(draw)
         if not found:
             raise InfeasibleConstraintError(
@@ -342,13 +329,13 @@ def enumerate_candidates(
                 f"rejection sampling requested {m_samples} candidates but found "
                 f"{len(found)} in {attempts} attempts; the candidate set is short",
                 stacklevel=2)
-        chosen = sorted(found)
+        chosen = np.array(sorted(found), dtype=np.intp)
 
-    configs = tuple(config_from_units(part, units) for units in chosen)
+    chosen.flags.writeable = False
     return CandidateSet(
         grid=part.grid,
         partition=part,
-        configurations=configs,
+        units=chosen,
         seed=int(seed),
         min_unit_spacing=float(min_unit_spacing),
     )
@@ -364,9 +351,7 @@ def min_pairwise_spacing(config: Configuration, grid: ApertureGrid,
         raise ValueError("configuration references units outside the partition")
     if len(active) < 2:
         return math.inf
-    cent = unit_centroids(part)[active]
-    diff = cent[:, None, :] - cent[None, :, :]
-    dists = np.sqrt((diff ** 2).sum(axis=-1))
+    dists = _centroid_distances(part)[np.ix_(active, active)]
     iu = np.triu_indices(len(active), k=1)
     return float(dists[iu].min())
 
@@ -390,10 +375,10 @@ def save_candidate_set(candidates: CandidateSet, path) -> None:
         f"mode={candidates.partition.mode.label}",
         f"min_unit_spacing={format_float(candidates.min_unit_spacing)}",
         f"seed={candidates.seed}",
-        f"count={len(candidates.configurations)}",
+        f"count={len(candidates)}",
     ]
-    for cfg in candidates.configurations:
-        lines.append("config=" + ",".join(str(e) for e in sorted(cfg.active_elements)))
+    elements = candidates.partition.elements[candidates.units].reshape(len(candidates), -1)
+    lines += ["config=" + ",".join(map(str, row)) for row in np.sort(elements, axis=1).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -417,25 +402,34 @@ def load_candidate_set(path) -> CandidateSet:
         count = int(header["count"])
     except KeyError as missing:
         raise ValueError(f"candidate-set file is missing key {missing}") from None
+    if not element_lists:
+        raise ValueError("candidate-set file lists no config= line")
     if count != len(element_lists):
         raise ValueError(
             f"candidate-set file declares {count} configurations but lists "
             f"{len(element_lists)}")
     part = partition(grid, mode)
     lut = part.unit_of_element
-    configs = []
+    unit_lists = []
     for elements in element_lists:
         if any(not 0 <= e < grid.n_elements for e in elements):
             raise ValueError("configuration references elements outside the grid")
         units = sorted({int(lut[e]) for e in elements})
-        cfg = config_from_units(part, units)
-        if cfg.active_elements != frozenset(elements):
+        if not units:
+            raise ValueError("a configuration must activate at least one unit")
+        if set(part.elements[units].ravel().tolist()) != set(elements):
             raise ValueError("configuration elements do not cover whole units")
-        configs.append(cfg)
+        if unit_lists and len(units) != len(unit_lists[0]):
+            raise ValueError(
+                f"candidate-set file mixes configurations of {len(unit_lists[0])} "
+                f"and {len(units)} units")
+        unit_lists.append(units)
+    units = np.array(unit_lists, dtype=np.intp)
+    units.flags.writeable = False
     return CandidateSet(
         grid=grid,
         partition=part,
-        configurations=tuple(configs),
+        units=units,
         seed=seed,
         min_unit_spacing=min_spacing,
     )

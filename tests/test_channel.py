@@ -176,7 +176,7 @@ def test_identity_coupling_response_sums_the_unit_rows():
     real = draw_channel(grid, ChannelParams(rx_antennas=2, seed=9))
     group = partition(grid, GranularityMode.group(2, 2))
     got = effective_response(config_from_units(group, [0]), real, _identity_coupling(grid))
-    expect = real.cascaded[sorted(group.units[0])].sum(axis=0)
+    expect = real.cascaded[group.elements[0]].sum(axis=0)
     assert np.allclose(got, expect, rtol=1e-12)
     element = partition(grid, GranularityMode.element())
     singleton = effective_response(config_from_units(element, [5]), real,
@@ -233,7 +233,7 @@ def test_map_noise_stream_is_keyed_by_candidate_id():
     from dataclasses import replace
     cands, real, coupling = _small_pool()
     full = build_response_map(cands, real, coupling, 0.1, seed=3)
-    prefix_set = replace(cands, configurations=cands.configurations[:3])
+    prefix_set = replace(cands, units=cands.units[:3])
     prefix = build_response_map(prefix_set, real, coupling, 0.1, seed=3)
     assert np.array_equal(full.values[:3], prefix.values)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frisim import geometry
 from frisim.geometry import (GranularityMode, InfeasibleConstraintError,
                              activation_mask, build_grid, config_from_units,
                              default_min_unit_spacing, enumerate_candidates,
@@ -49,10 +50,8 @@ def test_build_grid_rejects_bad_shapes(rows, cols, spacing):
 def test_partition_unit_counts(mode, count, size):
     part = partition(build_grid(8, 8, 0.5), mode)
     assert part.unit_count == count
-    assert all(len(u) == size for u in part.units)
-    covered = set().union(*part.units)
-    assert covered == set(range(64))
-    assert sum(len(u) for u in part.units) == 64  # disjointness given full cover
+    assert part.elements.shape == (count, size)
+    assert sorted(part.elements.ravel().tolist()) == list(range(64))  # disjoint full cover
 
 
 def test_partition_rejects_non_dividing_tile():
@@ -62,8 +61,10 @@ def test_partition_rejects_non_dividing_tile():
 
 def test_partition_tiles_are_contiguous_rectangles():
     part = partition(build_grid(4, 6, 1.0), GranularityMode.group(2, 3))
-    # unit 0 is the top-left 2x3 tile in row-major ids
-    assert part.units[0] == frozenset({0, 1, 2, 6, 7, 8})
+    # unit 0 is the top-left 2x3 tile in row-major ids, unit 1 the tile to its right
+    assert part.elements.tolist() == [[0, 1, 2, 6, 7, 8], [3, 4, 5, 9, 10, 11],
+                                      [12, 13, 14, 18, 19, 20], [15, 16, 17, 21, 22, 23]]
+    assert part.unit_of_element.tolist() == [0, 0, 0, 1, 1, 1] * 2 + [2, 2, 2, 3, 3, 3] * 2
 
 
 def test_mode_labels_round_trip():
@@ -246,14 +247,44 @@ def test_layout_distance_is_a_metric(unit_sets):
 
 
 def test_activation_mask_and_masks_agree():
-    part = partition(build_grid(4, 4, 0.5), GranularityMode.group(2, 2))
-    cands = enumerate_candidates(part, 4, 10, 0.0, seed=1)
-    masks = cands.masks()
-    assert masks.shape == (len(cands), 16)
-    for i, cfg in enumerate(cands.configurations):
-        assert np.array_equal(masks[i], activation_mask(cfg, 16))
-        assert masks[i].sum() == cfg.n_act == 4
-    assert cands.masks() is masks and not masks.flags.writeable
+    for mode in (GranularityMode.element(), GranularityMode.group(2, 2),
+                 GranularityMode.block(4, 4)):
+        part = partition(build_grid(8, 8, 0.5), mode)
+        cands = enumerate_candidates(part, 16, 10, 0.0, seed=1)
+        masks = cands.masks()
+        assert masks.shape == (len(cands), 64)
+        for i, cfg in enumerate(cands.configurations):
+            assert np.array_equal(masks[i], activation_mask(cfg, 64))
+            assert masks[i].sum() == cfg.n_act == 16
+            assert sorted(cfg.active_units) == cands.units[i].tolist()
+        assert cands.masks() is masks and not masks.flags.writeable
+
+
+def test_enumeration_builds_configurations_only_when_asked(monkeypatch):
+    calls = []
+    original = geometry.config_from_units
+
+    def counting(part, units):
+        calls.append(units)
+        return original(part, units)
+
+    monkeypatch.setattr(geometry, "config_from_units", counting)
+    part = partition(build_grid(8, 8, 0.5), GranularityMode.group(2, 2))
+    cands = enumerate_candidates(part, 16, 64, 0.0, seed=1)
+    cands.masks()
+    assert calls == [] and "configurations" not in cands.__dict__
+    assert len(cands.configurations) == len(calls) == 64
+
+
+def test_unit_and_element_arrays_are_read_only(tmp_path):
+    part = partition(build_grid(8, 8, 0.5), GranularityMode.group(2, 2))
+    cands = enumerate_candidates(part, 16, 64, 0.0, seed=1)
+    save_candidate_set(cands, tmp_path / "cands.txt")
+    loaded = load_candidate_set(tmp_path / "cands.txt")
+    for array in (part.elements, part.unit_of_element, cands.units, loaded.units):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_config_from_units_validation():
@@ -274,6 +305,7 @@ def test_candidate_set_round_trip(tmp_path):
     assert loaded.partition.mode == cands.partition.mode
     assert loaded.seed == cands.seed
     assert loaded.min_unit_spacing == cands.min_unit_spacing
+    assert np.array_equal(loaded.units, cands.units)
     assert [c.active_elements for c in loaded.configurations] == \
            [c.active_elements for c in cands.configurations]
 
@@ -300,3 +332,24 @@ def test_load_candidate_set_rejects_count_mismatch(tmp_path):
     ]) + "\n")
     with pytest.raises(ValueError):
         load_candidate_set(path)
+
+
+def _candidate_file(tmp_path, *config_lines):
+    path = tmp_path / "hand.txt"
+    path.write_text("\n".join([
+        "# frisim candidate-set v1",
+        "rows=2", "cols=2", "spacing=0.5", "mode=element",
+        "min_unit_spacing=0", "seed=1", f"count={len(config_lines)}",
+        *config_lines,
+    ]) + "\n")
+    return path
+
+
+def test_load_candidate_set_rejects_mixed_unit_counts(tmp_path):
+    with pytest.raises(ValueError, match="mixes configurations of 1 and 2 units"):
+        load_candidate_set(_candidate_file(tmp_path, "config=0", "config=1,2"))
+
+
+def test_load_candidate_set_rejects_a_file_without_configurations(tmp_path):
+    with pytest.raises(ValueError, match="no config= line"):
+        load_candidate_set(_candidate_file(tmp_path))

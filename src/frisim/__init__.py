@@ -24,9 +24,8 @@ from frisim.config import ConfigError, ExperimentConfig, config_hash, load_confi
 from frisim.detection import (BerEstimate, detect_index,
                               noise_for_snr_db, pairwise_error_prob, q_function,
                               simulate_ber, simulate_ber_curve, union_bound)
-from frisim.geometry import (ApertureGrid, CandidateSet, Configuration,
-                             GranularityMode, InfeasibleConstraintError,
-                             UnitPartition, build_grid, config_from_units,
+from frisim.geometry import (ApertureGrid, CandidateSet, GranularityMode,
+                             InfeasibleConstraintError, UnitPartition, build_grid,
                              enumerate_candidates, layout_distance,
                              load_candidate_set, min_pairwise_spacing,
                              partition, save_candidate_set, unit_centroids)
@@ -39,12 +38,12 @@ from frisim.throughput import (ThroughputReport, evaluate_mode, net_throughput,
 __all__ = [
     "__version__",
     "ApertureGrid", "BerEstimate", "CandidateSet", "ChannelParams",
-    "ChannelRealization", "Codebook", "ConfigError", "Configuration",
+    "ChannelRealization", "Codebook", "ConfigError",
     "CouplingMatrix", "DistanceMatrix", "ExperimentConfig",
     "GranularityMode", "InfeasibleConstraintError", "MapProvenance",
     "ResponseMap", "ResultTable",
     "ThroughputReport", "UnitPartition",
-    "build_grid", "build_response_map", "config_from_units", "config_hash",
+    "build_grid", "build_response_map", "config_hash",
     "coupling_matrix", "design_artifacts", "detect_index", "draw_channel",
     "effective_response", "effective_size", "emit_table",
     "enumerate_candidates", "evaluate_mode",

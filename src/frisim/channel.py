@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from frisim.geometry import ApertureGrid, CandidateSet, Configuration, activation_mask
+from frisim.geometry import ApertureGrid, CandidateSet, UnitPartition, unit_ids
 from frisim.serialize import format_float, parse_key_value
 
 RAYLEIGH = "rayleigh"
@@ -141,13 +141,17 @@ def coupling_matrix(grid: ApertureGrid, rho: float, kernel: str) -> CouplingMatr
     return CouplingMatrix(entries=entries, kernel=kernel, rho=float(rho))
 
 
-def effective_response(config: Configuration, realization: ChannelRealization,
+def effective_response(part: UnitPartition, units, realization: ChannelRealization,
                        coupling: CouplingMatrix) -> np.ndarray:
-    """(R,) receive-side response of a configuration under coupling leakage."""
+    """(R,) receive-side response of the candidate activating ``units`` of
+    ``part``, under coupling leakage."""
     n = coupling.n_elements
-    if realization.n_elements != n:
-        raise ValueError("realization and coupling matrix have different element counts")
-    drive = coupling.entries @ activation_mask(config, n)
+    if realization.n_elements != n or part.grid.n_elements != n:
+        raise ValueError("partition, realization and coupling matrix have different "
+                         "element counts")
+    mask = np.zeros(n)
+    mask[part.elements[unit_ids(part, units)]] = 1.0
+    drive = coupling.entries @ mask
     return drive @ realization.cascaded
 
 

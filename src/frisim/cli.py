@@ -32,6 +32,14 @@ _TABLE_FILES = {
 }
 
 
+def _seed(text: str) -> int:
+    """argparse type of a base seed: numpy seeds from non-negative integers only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, with_trials: bool = True) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="key=value config file (defaults apply when omitted)")
@@ -65,14 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     repro_a = sub.add_parser("repro-a", help="regenerate the scenario A tables")
     repro_a.add_argument("--out", type=str, default="out/scenario_a")
-    repro_a.add_argument("--seed", type=int, default=1,
+    repro_a.add_argument("--seed", type=_seed, default=1,
                          help="base seed for the channel seed list")
     repro_a.add_argument("--seed-count", type=int, default=SCENARIO_A_SEED_COUNT)
     repro_a.add_argument("--trials", type=int, default=SCENARIO_A_TRIALS)
 
     repro_b = sub.add_parser("repro-b", help="regenerate the scenario B table")
     repro_b.add_argument("--out", type=str, default="out/scenario_b")
-    repro_b.add_argument("--seed", type=int, default=7,
+    repro_b.add_argument("--seed", type=_seed, default=7,
                          help="base seed for the estimation seed list")
     repro_b.add_argument("--trials", type=int, default=SCENARIO_B_TRIALS)
 

@@ -73,6 +73,8 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"expected start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"grid bounds must be finite, got {text!r}")
         if not (step > 0):
             raise ValueError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -168,7 +170,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    return parse_config_text(text)
 
 
 def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
@@ -181,6 +187,12 @@ def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
     """
     problems: list[str] = []
     c = config
+    for field in fields(c):
+        value = getattr(c, field.name)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            problems.append(f"{_FIELD_TO_KEY[field.name]} must be finite, got "
+                            f"{_canonical_value(value)}")
     if c.grid_rows < 1 or c.grid_cols < 1:
         problems.append(f"grid must be at least 1x1, got {c.grid_rows}x{c.grid_cols}")
     if not (c.grid_spacing > 0):
@@ -227,6 +239,10 @@ def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
         problems.append("run.seeds must list at least one seed")
     for seed in _repeated(c.seeds):
         problems.append(f"run.seeds lists {seed} more than once")
+    if any(seed < 0 for seed in c.seeds):
+        problems.append(f"run.seeds must be >= 0, got {_canonical_value(c.seeds)}")
+    if c.candidate_seed < 0:
+        problems.append(f"candidates.seed must be >= 0, got {c.candidate_seed}")
     if c.alpha_unit < 0 or c.beta_codeword < 0:
         problems.append("overhead coefficients must be >= 0")
     if not (c.coherence_symbols > 0):

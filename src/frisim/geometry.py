@@ -169,39 +169,17 @@ def default_min_unit_spacing(mode: GranularityMode) -> float:
     return 0.0 if mode.kind == ELEMENT else 0.5
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """One surface configuration: the set of simultaneously active units."""
+def unit_ids(part: UnitPartition, units) -> list[int]:
+    """Ascending distinct ids of one candidate's active units.
 
-    active_units: frozenset[int]
-    active_elements: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not self.active_units:
-            raise ValueError("a configuration must activate at least one unit")
-
-    @property
-    def n_act(self) -> int:
-        return len(self.active_elements)
-
-
-def config_from_units(part: UnitPartition, unit_indices) -> Configuration:
-    units = frozenset(int(u) for u in unit_indices)
-    for u in units:
-        if not 0 <= u < part.unit_count:
-            raise ValueError(f"unit index {u} out of range for {part.unit_count} units")
-    elements = frozenset(part.elements[sorted(units)].ravel().tolist())
-    return Configuration(active_units=units, active_elements=elements)
-
-
-def activation_mask(config: Configuration, n_elements: int) -> np.ndarray:
-    """(N,) 0/1 float mask of active elements."""
-    mask = np.zeros(n_elements)
-    idx = sorted(config.active_elements)
-    if idx and idx[-1] >= n_elements:
-        raise ValueError("configuration references elements outside the grid")
-    mask[idx] = 1.0
-    return mask
+    An empty set, or an id outside the partition, raises ValueError.
+    """
+    ids = sorted(set(np.asarray(units).tolist()))
+    if not ids:
+        raise ValueError("a candidate must activate at least one unit")
+    if ids[0] < 0 or ids[-1] >= part.unit_count:
+        raise ValueError(f"unit ids {ids} out of range for {part.unit_count} units")
+    return ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +190,6 @@ class CandidateSet:
     ascending unit ids; candidate ids are its row positions.
     """
 
-    grid: ApertureGrid
     partition: UnitPartition
     units: np.ndarray
     seed: int
@@ -221,10 +198,9 @@ class CandidateSet:
     def __len__(self) -> int:
         return self.units.shape[0]
 
-    @cached_property
-    def configurations(self) -> tuple[Configuration, ...]:
-        """One Configuration per candidate id, built on first access."""
-        return tuple(config_from_units(self.partition, row) for row in self.units)
+    @property
+    def grid(self) -> ApertureGrid:
+        return self.partition.grid
 
     def masks(self) -> np.ndarray:
         """(M, N) 0/1 activation masks, one row per candidate id; read-only."""
@@ -333,7 +309,6 @@ def enumerate_candidates(
 
     chosen.flags.writeable = False
     return CandidateSet(
-        grid=part.grid,
         partition=part,
         units=chosen,
         seed=int(seed),
@@ -341,14 +316,9 @@ def enumerate_candidates(
     )
 
 
-def min_pairwise_spacing(config: Configuration, grid: ApertureGrid,
-                         part: UnitPartition) -> float:
+def min_pairwise_spacing(part: UnitPartition, units) -> float:
     """Smallest centroid distance between distinct active units (inf if only one)."""
-    if part.grid != grid:
-        raise ValueError("partition does not belong to the given grid")
-    active = sorted(config.active_units)
-    if active[-1] >= part.unit_count:
-        raise ValueError("configuration references units outside the partition")
+    active = unit_ids(part, units)
     if len(active) < 2:
         return math.inf
     dists = _centroid_distances(part)[np.ix_(active, active)]
@@ -356,12 +326,13 @@ def min_pairwise_spacing(config: Configuration, grid: ApertureGrid,
     return float(dists[iu].min())
 
 
-def layout_distance(a: Configuration, b: Configuration) -> int:
-    """Number of elements active in exactly one of the two configurations."""
-    # Same partition implies the same unit size; that much is checkable here.
-    if a.n_act * len(b.active_units) != b.n_act * len(a.active_units):
-        raise ValueError("configurations have different unit sizes; partitions differ")
-    return len(a.active_elements ^ b.active_elements)
+def layout_distance(part: UnitPartition, a, b) -> int:
+    """Number of elements active in exactly one of two candidates of ``part``.
+
+    Units are disjoint tiles of ``unit_size`` elements, so that is the unit
+    size times the number of units active in exactly one of them.
+    """
+    return part.unit_size * len(set(unit_ids(part, a)) ^ set(unit_ids(part, b)))
 
 
 def save_candidate_set(candidates: CandidateSet, path) -> None:
@@ -414,9 +385,7 @@ def load_candidate_set(path) -> CandidateSet:
     for elements in element_lists:
         if any(not 0 <= e < grid.n_elements for e in elements):
             raise ValueError("configuration references elements outside the grid")
-        units = sorted({int(lut[e]) for e in elements})
-        if not units:
-            raise ValueError("a configuration must activate at least one unit")
+        units = unit_ids(part, lut[elements])
         if set(part.elements[units].ravel().tolist()) != set(elements):
             raise ValueError("configuration elements do not cover whole units")
         if unit_lists and len(units) != len(unit_lists[0]):
@@ -427,7 +396,6 @@ def load_candidate_set(path) -> CandidateSet:
     units = np.array(unit_lists, dtype=np.intp)
     units.flags.writeable = False
     return CandidateSet(
-        grid=grid,
         partition=part,
         units=units,
         seed=seed,

@@ -12,8 +12,7 @@ from frisim.codebook import (Codebook, DistanceMatrix, effective_size, response_
                              select_maxmin_exact, select_maxmin_greedy)
 from frisim.config import ExperimentConfig
 from frisim.detection import pairwise_error_prob, simulate_ber, union_bound
-from frisim.geometry import (GranularityMode, build_grid, config_from_units,
-                             enumerate_candidates, partition)
+from frisim.geometry import GranularityMode, build_grid, enumerate_candidates, partition
 from frisim.throughput import net_throughput, overhead_fraction
 
 
@@ -63,8 +62,7 @@ def _check_effective_response() -> None:
     params = ChannelParams(rx_antennas=2, seed=5)
     realization = draw_channel(grid, params)
     part = partition(grid, GranularityMode.element())
-    both = config_from_units(part, [0, 1])
-    got = effective_response(both, realization, coupling)
+    got = effective_response(part, [0, 1], realization, coupling)
     c01 = coupling.entries[0, 1]
     expect = (1 + c01) * (realization.cascaded[0] + realization.cascaded[1])
     assert np.allclose(got, expect, rtol=1e-12), (got, expect)

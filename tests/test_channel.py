@@ -6,8 +6,7 @@ import pytest
 from frisim.channel import (ChannelParams, CouplingMatrix, build_design_maps,
                             build_response_map, coupling_matrix, draw_channel, effective_response,
                             load_response_map, save_response_map)
-from frisim.geometry import (GranularityMode, build_grid, config_from_units,
-                             enumerate_candidates, partition)
+from frisim.geometry import GranularityMode, build_grid, enumerate_candidates, partition
 
 
 def _identity_coupling(grid):
@@ -124,8 +123,7 @@ def test_single_active_element_returns_cascaded_row():
     part = partition(grid, GranularityMode.element())
     real = draw_channel(grid, ChannelParams(rx_antennas=3, seed=4))
     for m in range(4):
-        cfg = config_from_units(part, [m])
-        got = effective_response(cfg, real, _identity_coupling(grid))
+        got = effective_response(part, [m], real, _identity_coupling(grid))
         assert np.array_equal(got, real.cascaded[m])
 
 
@@ -134,7 +132,7 @@ def test_two_element_coupled_response_by_hand():
     coupling = coupling_matrix(grid, 0.8, "sinc")
     real = draw_channel(grid, ChannelParams(rx_antennas=2, seed=5))
     part = partition(grid, GranularityMode.element())
-    got = effective_response(config_from_units(part, [0, 1]), real, coupling)
+    got = effective_response(part, [0, 1], real, coupling)
     c01 = coupling.entries[0, 1]
     expect = (1 + c01) * (real.cascaded[0] + real.cascaded[1])
     assert np.allclose(got, expect, rtol=1e-12)
@@ -144,9 +142,8 @@ def test_rho_is_irrelevant_on_a_single_element_grid():
     grid = build_grid(1, 1, 0.5)
     part = partition(grid, GranularityMode.element())
     real = draw_channel(grid, ChannelParams(rx_antennas=4, seed=6))
-    cfg = config_from_units(part, [0])
-    a = effective_response(cfg, real, coupling_matrix(grid, 0.0, "sinc"))
-    b = effective_response(cfg, real, coupling_matrix(grid, 0.9, "sinc"))
+    a = effective_response(part, [0], real, coupling_matrix(grid, 0.0, "sinc"))
+    b = effective_response(part, [0], real, coupling_matrix(grid, 0.9, "sinc"))
     assert np.array_equal(a, b)
 
 
@@ -155,9 +152,9 @@ def test_response_is_additive_over_disjoint_masks_without_coupling():
     part = partition(grid, GranularityMode.element())
     real = draw_channel(grid, ChannelParams(rx_antennas=4, seed=7))
     ident = _identity_coupling(grid)
-    left = effective_response(config_from_units(part, [0, 1, 2]), real, ident)
-    right = effective_response(config_from_units(part, [9, 10]), real, ident)
-    both = effective_response(config_from_units(part, [0, 1, 2, 9, 10]), real, ident)
+    left = effective_response(part, [0, 1, 2], real, ident)
+    right = effective_response(part, [9, 10], real, ident)
+    both = effective_response(part, [0, 1, 2, 9, 10], real, ident)
     assert np.allclose(both, left + right, rtol=1e-12, atol=0)
 
 
@@ -167,20 +164,23 @@ def test_effective_response_dimension_mismatch():
     part = partition(grid, GranularityMode.element())
     real = draw_channel(grid, ChannelParams(seed=1))
     with pytest.raises(ValueError):
-        effective_response(config_from_units(part, [0]), real,
-                           _identity_coupling(other))
+        effective_response(part, [0], real, _identity_coupling(other))
+    with pytest.raises(ValueError):
+        effective_response(partition(other, GranularityMode.element()), [0], real,
+                           _identity_coupling(grid))
+    with pytest.raises(ValueError, match="out of range"):
+        effective_response(part, [4], real, _identity_coupling(grid))
 
 
 def test_identity_coupling_response_sums_the_unit_rows():
     grid = build_grid(4, 4, 0.5)
     real = draw_channel(grid, ChannelParams(rx_antennas=2, seed=9))
     group = partition(grid, GranularityMode.group(2, 2))
-    got = effective_response(config_from_units(group, [0]), real, _identity_coupling(grid))
+    got = effective_response(group, [0], real, _identity_coupling(grid))
     expect = real.cascaded[group.elements[0]].sum(axis=0)
     assert np.allclose(got, expect, rtol=1e-12)
     element = partition(grid, GranularityMode.element())
-    singleton = effective_response(config_from_units(element, [5]), real,
-                                   _identity_coupling(grid))
+    singleton = effective_response(element, [5], real, _identity_coupling(grid))
     assert np.array_equal(singleton, real.cascaded[5])
 
 
@@ -197,9 +197,9 @@ def test_noiseless_map_equals_effective_response_exactly():
     cands, real, coupling = _small_pool()
     rmap = build_response_map(cands, real, coupling, 0.0, seed=0)
     assert len(rmap) == len(cands)
-    for i, cfg in enumerate(cands.configurations):
+    for i, row in enumerate(cands.units):
         assert np.array_equal(rmap.values[i],
-                              effective_response(cfg, real, coupling))
+                              effective_response(cands.partition, row, real, coupling))
 
 
 def test_design_maps_pair_the_calibrated_map_with_the_noiseless_truth():
@@ -266,8 +266,8 @@ def _reference_map(cands, real, coupling, var, seed):
     id, a real-part draw then an imaginary-part draw."""
     r = real.rx_antennas
     rows = []
-    for i, cfg in enumerate(cands.configurations):
-        h = effective_response(cfg, real, coupling)
+    for i, row in enumerate(cands.units):
+        h = effective_response(cands.partition, row, real, coupling)
         if var > 0:
             rng = np.random.default_rng([seed, i])
             h = h + np.sqrt(var / 2.0) * (rng.standard_normal(r)

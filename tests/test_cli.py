@@ -119,6 +119,45 @@ def test_repeated_seed_exits_2(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("ber", "noise.snr_db", "nan"),
+    ("ber", "noise.snr_db", "inf"),
+    ("sweep", "noise.sweep_snr_db", "-inf"),
+    ("sweep", "keff.delta_frac", "nan"),
+    ("sweep", "overhead.alpha_unit", "nan"),
+])
+def test_non_finite_setting_exits_2_naming_the_key(capsys, tmp_path, command, key, value):
+    path = tmp_path / "nonfinite.cfg"
+    lines = [line for line in SMALL_CONFIG.splitlines() if not line.startswith(key)]
+    path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "o"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert f"{key} must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber", "--seed", "-2"],
+    ["repro-a", "--seed", "-1", "--seed-count", "1", "--trials", "0"],
+    ["repro-b", "--seed", "-1", "--trials", "10"],
+])
+def test_negative_seed_exits_2(capsys, tmp_path, argv):
+    out = tmp_path / "o"
+    code = main(argv + ["--out", str(out)])
+    assert code == 2
+    assert "must be >= 0, got -" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"grid.rows = 4\n\xff\xfe\n")
+    code = main(["ber", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config file {path} is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_zero_trial_sweep_is_a_config_error(capsys, tmp_path, config_file):
     out = tmp_path / "o"
     code = main(["sweep", "--config", str(config_file), "--out", str(out),

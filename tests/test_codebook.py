@@ -112,9 +112,9 @@ def test_layout_distances_match_pairwise_layout_distance():
     part = partition(build_grid(4, 4, 0.5), GranularityMode.element())
     cands = enumerate_candidates(part, 4, 12, 0.0, seed=2)
     d = layout_distances(cands)
-    for i, a in enumerate(cands.configurations):
-        for j, b in enumerate(cands.configurations):
-            assert d.values[i, j] == layout_distance(a, b)
+    for i, a in enumerate(cands.units):
+        for j, b in enumerate(cands.units):
+            assert d.values[i, j] == layout_distance(part, a, b)
 
 
 @pytest.mark.parametrize("rows, cols, n_act, m", [(3, 5, 4, 40), (9, 9, 20, 240)])
@@ -125,9 +125,9 @@ def test_layout_distances_match_with_a_partial_mask_byte(rows, cols, n_act, m):
     cands = enumerate_candidates(part, n_act, m, 0.0, seed=2)
     assert len(cands) == m
     d = layout_distances(cands)
-    for i, a in enumerate(cands.configurations):
-        for j, b in enumerate(cands.configurations):
-            assert d.values[i, j] == layout_distance(a, b)
+    for i, a in enumerate(cands.units):
+        for j, b in enumerate(cands.units):
+            assert d.values[i, j] == layout_distance(part, a, b)
 
 
 @pytest.mark.parametrize("rows, cols, n_act", [(4, 4, 4), (16, 17, 8)])
@@ -140,9 +140,9 @@ def test_layout_distances_use_the_smallest_unsigned_type_for_the_grid(rows, cols
     assert values.dtype.kind == "u"
     assert values.dtype == np.min_scalar_type(rows * cols)
     assert np.iinfo(values.dtype).max >= rows * cols
-    for i, a in enumerate(cands.configurations[:5]):
-        for j, b in enumerate(cands.configurations):
-            assert values[i, j] == layout_distance(a, b)
+    for i, a in enumerate(cands.units[:5]):
+        for j, b in enumerate(cands.units):
+            assert values[i, j] == layout_distance(part, a, b)
 
 
 def test_layout_greedy_on_integer_counts_matches_a_float64_copy():

@@ -55,6 +55,8 @@ grid.cols = 3
 def test_parse_rejects_malformed_ranges():
     with pytest.raises(ConfigError):
         parse_config_text("noise.snr_db = 0:10\n")
+    with pytest.raises(ConfigError, match="grid bounds must be finite"):
+        parse_config_text("noise.snr_db = 0:inf:1\n")
     with pytest.raises(ConfigError):
         parse_config_text("run.seeds = 5:1\n")
     with pytest.raises(ConfigError):
@@ -142,6 +144,41 @@ def test_validate_rejects_a_repeated_seed_or_snr_point():
     with pytest.raises(ConfigError, match="run.seeds lists 3 more than once"):
         require_valid(cfg, for_ber=True)
     assert validate(parse_config_text("run.seeds = 3:5\nnoise.snr_db = 0:10:5\n")) == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid.spacing", "nan"),
+    ("candidates.min_unit_spacing", "inf"),
+    ("channel.rho", "nan"),
+    ("channel.estimation_error_var", "inf"),
+    ("channel.rx_spacing", "nan"),
+    ("channel.tx_position", "0, nan, 50"),
+    ("channel.rx_position", "20, 0, -inf"),
+    ("noise.snr_db", "0, nan"),
+    ("noise.snr_db", "inf"),
+    ("noise.sweep_snr_db", "-inf"),
+    ("overhead.alpha_unit", "nan"),
+    ("overhead.beta_codeword", "inf"),
+    ("overhead.coherence_symbols", "inf"),
+    ("keff.delta_frac", "nan"),
+])
+def test_validate_rejects_non_finite_floats(key, value):
+    problems = validate(parse_config_text(f"{key} = {value}\n"))
+    assert any(p.startswith(f"{key} must be finite, got ") for p in problems), problems
+
+
+def test_validate_rejects_negative_seeds():
+    cfg = parse_config_text("run.seeds = 3, -4\ncandidates.seed = -1\n")
+    assert validate(cfg) == ["run.seeds must be >= 0, got 3,-4",
+                             "candidates.seed must be >= 0, got -1"]
+    assert validate(parse_config_text("run.seeds = 0\ncandidates.seed = 0\n")) == []
+
+
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("grid.rows = 4 # \u00e9\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="latin1.cfg is not UTF-8 text"):
+        load_config(path)
 
 
 def test_channel_params_derive_the_channel_stream_from_the_run_seed():

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frisim import geometry
-from frisim.geometry import (GranularityMode, InfeasibleConstraintError,
-                             activation_mask, build_grid, config_from_units,
+from frisim.geometry import (GranularityMode, InfeasibleConstraintError, build_grid,
                              default_min_unit_spacing, enumerate_candidates,
                              layout_distance, load_candidate_set,
                              min_pairwise_spacing, partition,
                              save_candidate_set, unit_centroids)
+
+
+def _element_sets(cands):
+    """Each candidate's active element ids, as a sorted tuple."""
+    rows = cands.partition.elements[cands.units].reshape(len(cands), -1)
+    return [tuple(sorted(row)) for row in rows.tolist()]
 
 
 def test_build_grid_two_elements():
@@ -85,21 +89,21 @@ def test_enumerate_block_mode_gives_one_config_per_block():
     part = partition(build_grid(8, 8, 0.5), GranularityMode.block(4, 4))
     cands = enumerate_candidates(part, 16, 512, 0.0, seed=1)
     assert len(cands) == 4
-    assert [sorted(c.active_units) for c in cands.configurations] == [[0], [1], [2], [3]]
+    assert cands.units.tolist() == [[0], [1], [2], [3]]
 
 
 def test_enumerate_group_mode_exhaustive_count():
     part = partition(build_grid(8, 8, 0.5), GranularityMode.group(2, 2))
     cands = enumerate_candidates(part, 16, 2000, 0.0, seed=1)
     assert len(cands) == math.comb(16, 4)
-    seen = {tuple(sorted(c.active_units)) for c in cands.configurations}
+    seen = {tuple(row) for row in cands.units.tolist()}
     assert len(seen) == 1820  # all distinct
 
 
 def test_enumerate_diagonal_spacing_filter():
     part = partition(build_grid(2, 2, 0.5), GranularityMode.element())
     cands = enumerate_candidates(part, 2, 16, 0.6, seed=1)
-    actives = sorted(tuple(sorted(c.active_elements)) for c in cands.configurations)
+    actives = sorted(_element_sets(cands))
     assert actives == [(0, 3), (1, 2)]  # only the diagonals reach 0.7071
 
 
@@ -107,7 +111,7 @@ def test_enumerate_subsamples_uniformly_without_replacement():
     part = partition(build_grid(8, 8, 0.5), GranularityMode.group(2, 2))
     cands = enumerate_candidates(part, 16, 100, 0.0, seed=9)
     assert len(cands) == 100
-    units = [tuple(sorted(c.active_units)) for c in cands.configurations]
+    units = [tuple(row) for row in cands.units.tolist()]
     assert len(set(units)) == 100
     assert units == sorted(units)  # ids assigned in lexicographic layout order
 
@@ -117,7 +121,7 @@ def test_enumerate_rejection_path_on_large_space():
     part = partition(build_grid(8, 8, 0.5), GranularityMode.element())
     cands = enumerate_candidates(part, 16, 256, 0.0, seed=5)
     assert len(cands) == 256
-    layouts = {tuple(sorted(c.active_elements)) for c in cands.configurations}
+    layouts = set(_element_sets(cands))
     assert len(layouts) == 256
 
 
@@ -140,18 +144,16 @@ def test_enumerate_warns_when_rejection_sampling_falls_short():
     pos = grid.positions
     feasible = {(a, b) for a in range(25) for b in range(a + 1, 25)
                 if np.hypot(*(pos[a] - pos[b])) >= 2.5}
-    assert {tuple(sorted(c.active_elements)) for c in cands.configurations} == feasible
+    assert set(_element_sets(cands)) == feasible
 
 
 def test_enumerate_is_deterministic():
     part = partition(build_grid(8, 8, 0.5), GranularityMode.element())
     a = enumerate_candidates(part, 16, 64, 0.0, seed=7)
     b = enumerate_candidates(part, 16, 64, 0.0, seed=7)
-    assert [c.active_elements for c in a.configurations] == \
-           [c.active_elements for c in b.configurations]
+    assert np.array_equal(a.units, b.units)
     c = enumerate_candidates(part, 16, 64, 0.0, seed=8)
-    assert [x.active_elements for x in a.configurations] != \
-           [x.active_elements for x in c.configurations]
+    assert not np.array_equal(a.units, c.units)
 
 
 @pytest.mark.parametrize("mode", [GranularityMode.element(), GranularityMode.group(2, 2)])
@@ -160,15 +162,15 @@ def test_enumerate_without_a_spacing_applies_the_mode_rule(mode):
     auto = enumerate_candidates(part, 16, 64, None, seed=4)
     rule = enumerate_candidates(part, 16, 64, default_min_unit_spacing(mode), seed=4)
     assert auto.min_unit_spacing == default_min_unit_spacing(mode)
-    assert auto.configurations == rule.configurations
+    assert np.array_equal(auto.units, rule.units)
 
 
 def test_enumerate_spacing_rule_holds_on_every_output():
     grid = build_grid(4, 4, 0.5)
     part = partition(grid, GranularityMode.element())
     cands = enumerate_candidates(part, 3, 200, 0.9, seed=2)
-    for cfg in cands.configurations:
-        assert min_pairwise_spacing(cfg, grid, part) >= 0.9
+    for row in cands.units:
+        assert min_pairwise_spacing(part, row) >= 0.9
 
 
 @pytest.mark.parametrize("n_act,m_samples,spacing,err", [
@@ -192,46 +194,37 @@ def test_enumerate_impossible_spacing_is_infeasible():
 def test_min_pairwise_spacing_single_unit_sentinel():
     grid = build_grid(8, 8, 0.5)
     part = partition(grid, GranularityMode.block(4, 4))
-    cfg = config_from_units(part, [2])
-    assert min_pairwise_spacing(cfg, grid, part) == math.inf
+    assert min_pairwise_spacing(part, [2]) == math.inf
 
 
 def test_min_pairwise_spacing_adjacent_elements():
     grid = build_grid(8, 8, 0.5)
     part = partition(grid, GranularityMode.element())
-    cfg = config_from_units(part, [0, 1])
-    assert min_pairwise_spacing(cfg, grid, part) == 0.5
+    assert min_pairwise_spacing(part, [0, 1]) == 0.5
 
 
 def test_min_pairwise_spacing_matches_brute_force():
     grid = build_grid(8, 8, 0.5)
     part = partition(grid, GranularityMode.group(2, 2))
     corner_units = [0, 3, 12, 15]  # tile corners of the 4x4 unit grid
-    cfg = config_from_units(part, corner_units)
     cent = unit_centroids(part)
     brute = min(float(np.hypot(*(cent[a] - cent[b])))
                 for i, a in enumerate(corner_units)
                 for b in corner_units[i + 1:])
-    assert min_pairwise_spacing(cfg, grid, part) == pytest.approx(brute)
+    assert min_pairwise_spacing(part, corner_units) == pytest.approx(brute)
 
 
 def test_layout_distance_hand_values():
     grid = build_grid(8, 8, 0.5)
     part = partition(grid, GranularityMode.element())
-    a = config_from_units(part, range(16))
-    assert layout_distance(a, a) == 0
-    b = config_from_units(part, range(16, 32))
-    assert layout_distance(a, b) == 32  # disjoint supports
-    c = config_from_units(part, list(range(12)) + [40, 41, 42, 43])
-    assert layout_distance(a, c) == 8  # 12 shared of 16
-
-
-def test_layout_distance_rejects_mixed_unit_sizes():
-    grid = build_grid(8, 8, 0.5)
-    element = config_from_units(partition(grid, GranularityMode.element()), range(16))
-    block = config_from_units(partition(grid, GranularityMode.block(4, 4)), [0])
-    with pytest.raises(ValueError):
-        layout_distance(element, block)
+    a = range(16)
+    assert layout_distance(part, a, a) == 0
+    assert layout_distance(part, a, range(16, 32)) == 32  # disjoint supports
+    c = list(range(12)) + [40, 41, 42, 43]
+    assert layout_distance(part, a, c) == 8  # 12 shared of 16
+    # a 2x2 unit holds four elements, so one unit swapped moves eight
+    group = partition(grid, GranularityMode.group(2, 2))
+    assert layout_distance(group, [0, 1], [0, 2]) == 8
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,41 +232,34 @@ def test_layout_distance_rejects_mixed_unit_sizes():
                 min_size=3, max_size=3))
 def test_layout_distance_is_a_metric(unit_sets):
     part = partition(build_grid(4, 4, 0.5), GranularityMode.element())
-    a, b, c = (config_from_units(part, s) for s in unit_sets)
-    dab, dba = layout_distance(a, b), layout_distance(b, a)
+    a, b, c = (sorted(s) for s in unit_sets)
+    dab, dba = layout_distance(part, a, b), layout_distance(part, b, a)
     assert dab == dba >= 0
-    assert (dab == 0) == (a.active_elements == b.active_elements)
-    assert dab <= layout_distance(a, c) + layout_distance(c, b)
+    assert (dab == 0) == (a == b)
+    assert dab <= layout_distance(part, a, c) + layout_distance(part, c, b)
 
 
-def test_activation_mask_and_masks_agree():
+def test_masks_activate_the_tiles_of_each_unit_row():
     for mode in (GranularityMode.element(), GranularityMode.group(2, 2),
                  GranularityMode.block(4, 4)):
         part = partition(build_grid(8, 8, 0.5), mode)
         cands = enumerate_candidates(part, 16, 10, 0.0, seed=1)
         masks = cands.masks()
         assert masks.shape == (len(cands), 64)
-        for i, cfg in enumerate(cands.configurations):
-            assert np.array_equal(masks[i], activation_mask(cfg, 64))
-            assert masks[i].sum() == cfg.n_act == 16
-            assert sorted(cfg.active_units) == cands.units[i].tolist()
+        gr, gc = mode.unit_rows, mode.unit_cols
+        tiles_per_row = 8 // gc
+        for i, row in enumerate(cands.units.tolist()):
+            # unit u is the tile at tile row u // tiles_per_row, tile column
+            # u % tiles_per_row; its elements follow from the grid alone
+            expected = np.zeros(64)
+            for u in row:
+                tr, tc = divmod(u, tiles_per_row)
+                for r in range(tr * gr, (tr + 1) * gr):
+                    for c in range(tc * gc, (tc + 1) * gc):
+                        expected[8 * r + c] = 1.0
+            assert np.array_equal(masks[i], expected)
+            assert masks[i].sum() == 16
         assert cands.masks() is masks and not masks.flags.writeable
-
-
-def test_enumeration_builds_configurations_only_when_asked(monkeypatch):
-    calls = []
-    original = geometry.config_from_units
-
-    def counting(part, units):
-        calls.append(units)
-        return original(part, units)
-
-    monkeypatch.setattr(geometry, "config_from_units", counting)
-    part = partition(build_grid(8, 8, 0.5), GranularityMode.group(2, 2))
-    cands = enumerate_candidates(part, 16, 64, 0.0, seed=1)
-    cands.masks()
-    assert calls == [] and "configurations" not in cands.__dict__
-    assert len(cands.configurations) == len(calls) == 64
 
 
 def test_unit_and_element_arrays_are_read_only(tmp_path):
@@ -287,12 +273,17 @@ def test_unit_and_element_arrays_are_read_only(tmp_path):
             array[0] = 0
 
 
-def test_config_from_units_validation():
+def test_reference_functions_reject_empty_or_out_of_range_units():
     part = partition(build_grid(4, 4, 0.5), GranularityMode.element())
-    with pytest.raises(ValueError):
-        config_from_units(part, [])
-    with pytest.raises(ValueError):
-        config_from_units(part, [99])
+    for units, message in (([], "at least one unit"),
+                           ([99], "out of range for 16 units"),
+                           ([-1, 3], "out of range for 16 units")):
+        with pytest.raises(ValueError, match=message):
+            min_pairwise_spacing(part, units)
+        with pytest.raises(ValueError, match=message):
+            layout_distance(part, [0], units)
+        with pytest.raises(ValueError, match=message):
+            layout_distance(part, units, [0])
 
 
 def test_candidate_set_round_trip(tmp_path):
@@ -301,13 +292,12 @@ def test_candidate_set_round_trip(tmp_path):
     path = tmp_path / "cands.txt"
     save_candidate_set(cands, path)
     loaded = load_candidate_set(path)
-    assert loaded.grid == cands.grid
+    assert loaded.grid == cands.grid == part.grid
     assert loaded.partition.mode == cands.partition.mode
     assert loaded.seed == cands.seed
     assert loaded.min_unit_spacing == cands.min_unit_spacing
     assert np.array_equal(loaded.units, cands.units)
-    assert [c.active_elements for c in loaded.configurations] == \
-           [c.active_elements for c in cands.configurations]
+    assert _element_sets(loaded) == _element_sets(cands)
 
 
 def test_load_candidate_set_rejects_partial_units(tmp_path):
@@ -353,3 +343,8 @@ def test_load_candidate_set_rejects_mixed_unit_counts(tmp_path):
 def test_load_candidate_set_rejects_a_file_without_configurations(tmp_path):
     with pytest.raises(ValueError, match="no config= line"):
         load_candidate_set(_candidate_file(tmp_path))
+
+
+def test_load_candidate_set_rejects_an_empty_config_line(tmp_path):
+    with pytest.raises(ValueError, match="at least one unit"):
+        load_candidate_set(_candidate_file(tmp_path, "config=0", "config="))

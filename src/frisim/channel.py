@@ -12,12 +12,11 @@ the transmitter-to-element-m gain and the element-m-to-antenna-r gain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from frisim.geometry import ApertureGrid, CandidateSet, UnitPartition, unit_ids
-from frisim.serialize import format_float, parse_key_value
+from frisim.serialize import format_float, read_artifact, write_artifact
 
 RAYLEIGH = "rayleigh"
 LOS = "los"
@@ -241,55 +240,38 @@ def build_design_maps(candidates: CandidateSet, realization: ChannelRealization,
 
 def save_response_map(response_map: ResponseMap, path) -> None:
     prov = response_map.provenance
-    lines = [
-        "# frisim response-map v1",
-        f"seed={prov.channel_seed}",
-        f"rho={format_float(prov.rho)}",
-        f"kernel={prov.kernel}",
-        f"rx_antennas={response_map.rx_antennas}",
-        f"count={len(response_map)}",
-    ]
-    for i in range(len(response_map)):
-        parts = [str(i)]
-        for z in response_map.values[i]:
-            parts.append(format_float(z.real))
-            parts.append(format_float(z.imag))
-        lines.append(" ".join(parts))
-    Path(path).write_text("\n".join(lines) + "\n")
+    records = []
+    for i, row in enumerate(response_map.values):
+        parts = [format_float(x) for z in row for x in (z.real, z.imag)]
+        records.append(" ".join([str(i), *parts]))
+    write_artifact(path, "response-map", {
+        "seed": prov.channel_seed,
+        "rho": format_float(prov.rho),
+        "kernel": prov.kernel,
+        "rx_antennas": response_map.rx_antennas,
+        "count": len(response_map),
+    }, records)
 
 
 def load_response_map(path) -> ResponseMap:
-    header: dict[str, str] = {}
-    records: list[tuple[int, list[float]]] = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" in line:
-            key, value = parse_key_value(line)
-            header[key] = value
-        else:
-            tokens = line.split()
-            records.append((int(tokens[0]), [float(tok) for tok in tokens[1:]]))
-    try:
-        seed = int(header["seed"])
-        rho = float(header["rho"])
-        kernel = header["kernel"]
-        r = int(header["rx_antennas"])
-        count = int(header["count"])
-    except KeyError as missing:
-        raise ValueError(f"response-map file is missing key {missing}") from None
-    if count != len(records):
-        raise ValueError(f"response-map file declares {count} records, found {len(records)}")
-    values = np.empty((count, r), dtype=complex)
-    seen = set()
-    for cid, comps in records:
-        if cid in seen or not 0 <= cid < count:
+    header, records = read_artifact(path, "response-map",
+                                    ("seed", "rho", "kernel", "rx_antennas", "count"))
+    r = int(header["rx_antennas"])
+    count = int(header["count"])
+    rows: dict[int, list[float]] = {}
+    for record in records:
+        tokens = record.split()
+        try:
+            cid, comps = int(tokens[0]), [float(tok) for tok in tokens[1:]]
+        except ValueError:
+            raise ValueError(f"bad response-map record {record!r}") from None
+        if cid in rows or not 0 <= cid < count:
             raise ValueError(f"bad candidate id {cid} in response-map file")
-        seen.add(cid)
         if len(comps) != 2 * r:
             raise ValueError(f"candidate {cid} has {len(comps)} components, expected {2 * r}")
-        arr = np.asarray(comps).reshape(r, 2)
-        values[cid] = arr[:, 0] + 1j * arr[:, 1]
-    return ResponseMap(values=values,
-                       provenance=MapProvenance(channel_seed=seed, rho=rho, kernel=kernel))
+        rows[cid] = comps
+    if count != len(rows):
+        raise ValueError(f"response-map file declares {count} records, found {len(rows)}")
+    pairs = np.array([rows[cid] for cid in range(count)]).reshape(count, r, 2)
+    return ResponseMap(values=pairs[..., 0] + 1j * pairs[..., 1], provenance=MapProvenance(
+        channel_seed=int(header["seed"]), rho=float(header["rho"]), kernel=header["kernel"]))

@@ -10,13 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from frisim.channel import ResponseMap
 from frisim.geometry import CandidateSet, InfeasibleConstraintError
-from frisim.serialize import format_float, parse_key_value
+from frisim.serialize import format_float, read_artifact, write_artifact
 
 DOMAIN_RESPONSE = "response"
 DOMAIN_LAYOUT = "layout"
@@ -293,39 +292,26 @@ def effective_size(codebook: Codebook, distances: DistanceMatrix, delta: float) 
 
 
 def save_codebook(codebook: Codebook, path) -> None:
-    lines = [
-        "# frisim codebook v1",
-        f"method={codebook.selection_method}",
-        f"seed={'none' if codebook.seed is None else codebook.seed}",
-        "members=" + ",".join(str(m) for m in codebook.members),
-        f"d_min={format_float(codebook.d_min)}",
-        f"bit_width={format_float(codebook.bit_width)}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_artifact(path, "codebook", {
+        "method": codebook.selection_method,
+        "seed": "none" if codebook.seed is None else codebook.seed,
+        "members": ",".join(str(m) for m in codebook.members),
+        "d_min": format_float(codebook.d_min),
+        "bit_width": format_float(codebook.bit_width),
+    })
 
 
 def load_codebook(path) -> Codebook:
-    header: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, value = parse_key_value(line)
-        header[key] = value
-    try:
-        method = header["method"]
-        seed_txt = header["seed"]
-        members = tuple(int(tok) for tok in header["members"].split(",") if tok)
-        d_min = float(header["d_min"])
-        bit_width = float(header["bit_width"])
-    except KeyError as missing:
-        raise ValueError(f"codebook file is missing key {missing}") from None
-    if method not in SELECTION_METHODS:
-        raise ValueError(f"unknown selection method {method!r}")
+    header, records = read_artifact(path, "codebook",
+                                    ("method", "seed", "members", "d_min", "bit_width"))
+    if records:
+        raise ValueError(f"codebook file has a stray line {records[0]!r}")
+    if header["method"] not in SELECTION_METHODS:
+        raise ValueError(f"unknown selection method {header['method']!r}")
     return Codebook(
-        members=members,
-        selection_method=method,
-        d_min=d_min,
-        bit_width=bit_width,
-        seed=None if seed_txt == "none" else int(seed_txt),
+        members=tuple(int(tok) for tok in header["members"].split(",") if tok),
+        selection_method=header["method"],
+        d_min=float(header["d_min"]),
+        bit_width=float(header["bit_width"]),
+        seed=None if header["seed"] == "none" else int(header["seed"]),
     )

@@ -232,6 +232,11 @@ def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
         problems.append("noise.snr_db must list at least one point")
     for snr in _repeated(c.snr_db):
         problems.append(f"noise.snr_db lists {snr} more than once")
+    # The noise level 10**(-snr/10) leaves the float range past about 3 000 dB
+    # either way; no physical SNR comes near 300 dB.
+    for key, points in (("noise.snr_db", c.snr_db), ("noise.sweep_snr_db", (c.sweep_snr_db,))):
+        if any(300 < abs(snr) < math.inf for snr in points):
+            problems.append(f"{key} must lie in [-300, 300] dB, got {_canonical_value(points)}")
     min_trials = 0 if for_ber else 1
     if c.trials < min_trials:
         problems.append(f"run.trials must be >= {min_trials}, got {c.trials}")

@@ -44,15 +44,17 @@ def _embed(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values.real, values.imag), axis=-1)
 
 
-def detect_index(y: np.ndarray, codebook_responses: np.ndarray) -> int:
-    """Index of the codeword response nearest to ``y``; ties pick the lowest.
+def _ml_scores(received: np.ndarray, detect: np.ndarray) -> np.ndarray:
+    """ML scores ``||d_i||^2 - 2 <y, d_i>`` of the embedded codeword rows
+    ``d_i`` of ``detect`` for each embedded observation ``y`` in ``received``."""
+    return np.sum(detect ** 2, axis=1) - 2.0 * (received @ detect.T)
 
-    Scores ``||d_i||^2 - 2 Re <y, d_i>`` in the real embedding, the same rule
-    simulate_ber_curve applies to every trial.
-    """
-    detect = _embed(np.asarray(codebook_responses))
-    scores = np.sum(detect ** 2, axis=1) - 2.0 * (detect @ _embed(np.asarray(y)))
-    return int(np.argmin(scores))
+
+def detect_index(y: np.ndarray, codebook_responses: np.ndarray) -> int:
+    """Index of the codeword response nearest to ``y`` by the ML rule that
+    simulate_ber_curve applies to every trial; ties pick the lowest."""
+    return int(np.argmin(_ml_scores(_embed(np.asarray(y)),
+                                    _embed(np.asarray(codebook_responses)))))
 
 
 def simulate_ber_curve(codebook: Codebook, response_map: ResponseMap, noise_levels,
@@ -82,7 +84,7 @@ def simulate_ber_curve(codebook: Codebook, response_map: ResponseMap, noise_leve
     # With y = s_t + c z, the score ||d_i||^2 - 2 <y, d_i> splits into a part
     # fixed by the transmitted index t (row t of ``offsets``) and c times a
     # noise projection shared by every level.
-    offsets = np.sum(detect ** 2, axis=1)[None, :] - 2.0 * (source @ detect.T)
+    offsets = _ml_scores(source, detect)
     detect_re_t = detect[:, :r].T
     detect_im_t = detect[:, r:].T
 

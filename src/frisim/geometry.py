@@ -12,11 +12,10 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from frisim.serialize import format_float, parse_key_value
+from frisim.serialize import format_float, read_artifact, write_artifact
 
 ELEMENT = "element"
 GROUP = "group"
@@ -338,54 +337,32 @@ def layout_distance(part: UnitPartition, a, b) -> int:
 def save_candidate_set(candidates: CandidateSet, path) -> None:
     """Write the structured text form consumed by the harness."""
     grid = candidates.grid
-    lines = [
-        "# frisim candidate-set v1",
-        f"rows={grid.rows}",
-        f"cols={grid.cols}",
-        f"spacing={format_float(grid.spacing)}",
-        f"mode={candidates.partition.mode.label}",
-        f"min_unit_spacing={format_float(candidates.min_unit_spacing)}",
-        f"seed={candidates.seed}",
-        f"count={len(candidates)}",
-    ]
     elements = candidates.partition.elements[candidates.units].reshape(len(candidates), -1)
-    lines += ["config=" + ",".join(map(str, row)) for row in np.sort(elements, axis=1).tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_artifact(path, "candidate-set", {
+        "rows": grid.rows,
+        "cols": grid.cols,
+        "spacing": format_float(grid.spacing),
+        "mode": candidates.partition.mode.label,
+        "min_unit_spacing": format_float(candidates.min_unit_spacing),
+        "seed": candidates.seed,
+        "count": len(candidates),
+    }, ["config=" + ",".join(map(str, row)) for row in np.sort(elements, axis=1).tolist()])
 
 
 def load_candidate_set(path) -> CandidateSet:
-    header: dict[str, str] = {}
-    element_lists: list[list[int]] = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, value = parse_key_value(line)
-        if key == "config":
-            element_lists.append([int(tok) for tok in value.split(",") if tok])
-        else:
-            header[key] = value
-    try:
-        grid = build_grid(int(header["rows"]), int(header["cols"]), float(header["spacing"]))
-        mode = GranularityMode.parse(header["mode"])
-        min_spacing = float(header["min_unit_spacing"])
-        seed = int(header["seed"])
-        count = int(header["count"])
-    except KeyError as missing:
-        raise ValueError(f"candidate-set file is missing key {missing}") from None
-    if not element_lists:
-        raise ValueError("candidate-set file lists no config= line")
-    if count != len(element_lists):
-        raise ValueError(
-            f"candidate-set file declares {count} configurations but lists "
-            f"{len(element_lists)}")
-    part = partition(grid, mode)
-    lut = part.unit_of_element
+    header, records = read_artifact(path, "candidate-set", (
+        "rows", "cols", "spacing", "mode", "min_unit_spacing", "seed", "count"))
+    grid = build_grid(int(header["rows"]), int(header["cols"]), float(header["spacing"]))
+    part = partition(grid, GranularityMode.parse(header["mode"]))
     unit_lists = []
-    for elements in element_lists:
+    for record in records:
+        key, _, value = record.partition("=")
+        if key.strip() != "config":
+            raise ValueError(f"candidate-set file has a stray line {record!r}")
+        elements = [int(tok) for tok in value.split(",") if tok]
         if any(not 0 <= e < grid.n_elements for e in elements):
             raise ValueError("configuration references elements outside the grid")
-        units = unit_ids(part, lut[elements])
+        units = unit_ids(part, part.unit_of_element[elements])
         if set(part.elements[units].ravel().tolist()) != set(elements):
             raise ValueError("configuration elements do not cover whole units")
         if unit_lists and len(units) != len(unit_lists[0]):
@@ -393,11 +370,18 @@ def load_candidate_set(path) -> CandidateSet:
                 f"candidate-set file mixes configurations of {len(unit_lists[0])} "
                 f"and {len(units)} units")
         unit_lists.append(units)
+    if not unit_lists:
+        raise ValueError("candidate-set file lists no config= line")
+    count = int(header["count"])
+    if count != len(unit_lists):
+        raise ValueError(
+            f"candidate-set file declares {count} configurations but lists "
+            f"{len(unit_lists)}")
     units = np.array(unit_lists, dtype=np.intp)
     units.flags.writeable = False
     return CandidateSet(
         partition=part,
         units=units,
-        seed=seed,
-        min_unit_spacing=min_spacing,
+        seed=int(header["seed"]),
+        min_unit_spacing=float(header["min_unit_spacing"]),
     )

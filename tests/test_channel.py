@@ -261,6 +261,21 @@ def test_response_map_round_trip(tmp_path):
     assert loaded.provenance == rmap.provenance
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines + ["rho=0.1"], "response-map file repeats key 'rho'"),
+    (lambda lines: [line for line in lines if not line.startswith("kernel=")],
+     "response-map file is missing key 'kernel'"),
+    (lambda lines: lines + ["foo=bar"], "bad response-map record 'foo=bar'"),
+], ids=["repeated-key", "missing-key", "stray-line"])
+def test_load_response_map_rejects_a_broken_container(tmp_path, edit, message):
+    cands, real, coupling = _small_pool()
+    path = tmp_path / "map.txt"
+    save_response_map(build_response_map(cands, real, coupling, 0.0, seed=0), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_response_map(path)
+
+
 def _reference_map(cands, real, coupling, var, seed):
     """The per-candidate response map: effective_response plus, per candidate
     id, a real-part draw then an imaginary-part draw."""

@@ -137,6 +137,45 @@ def test_non_finite_setting_exits_2_naming_the_key(capsys, tmp_path, command, ke
     assert not out.exists()
 
 
+def _config_with(tmp_path, key, value):
+    """SMALL_CONFIG with ``key`` set to ``value``."""
+    path = tmp_path / "setting.cfg"
+    lines = [line for line in SMALL_CONFIG.splitlines() if not line.startswith(key)]
+    path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("ber", "noise.snr_db", "4000"),
+    ("ber", "noise.snr_db", "0,-4000"),
+    ("ber", "noise.snr_db", "0:400:100"),
+    ("ber", "noise.snr_db", "-400:0:100"),
+    ("sweep", "noise.sweep_snr_db", "4000"),
+    ("sweep", "noise.sweep_snr_db", "-4000"),
+])
+def test_snr_setting_out_of_range_exits_2_naming_the_key(capsys, tmp_path, command, key,
+                                                         value):
+    out = tmp_path / "o"
+    code = main([command, "--config", str(_config_with(tmp_path, key, value)),
+                 "--out", str(out)])
+    assert code == 2
+    assert f"{key} must lie in [-300, 300] dB, got " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("ber", "noise.snr_db", "-300,300"),
+    ("sweep", "noise.sweep_snr_db", "-300"),
+    ("sweep", "noise.sweep_snr_db", "300"),
+])
+def test_snr_setting_at_the_bound_runs(capsys, tmp_path, command, key, value):
+    out = tmp_path / "o"
+    code = main([command, "--config", str(_config_with(tmp_path, key, value)),
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert any(out.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["ber", "--seed", "-2"],
     ["repro-a", "--seed", "-1", "--seed-count", "1", "--trials", "0"],

@@ -428,3 +428,25 @@ def test_load_codebook_rejects_unknown_method(tmp_path):
     path.write_text("method=magic\nseed=none\nmembers=0,1\nd_min=1\nbit_width=1\n")
     with pytest.raises(ValueError):
         load_codebook(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines + ["members=5,6,7"], "codebook file repeats key 'members'"),
+    (lambda lines: [line for line in lines if not line.startswith("d_min=")],
+     "codebook file is missing key 'd_min'"),
+    (lambda lines: lines + ["foo=bar"], "codebook file has a stray line 'foo=bar'"),
+], ids=["repeated-key", "missing-key", "stray-line"])
+def test_load_codebook_rejects_a_broken_container(tmp_path, edit, message):
+    path = tmp_path / "cb.txt"
+    save_codebook(select_maxmin_greedy(_scalar_distances([0.0, 1.0, 3.0]), 2), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_codebook(path)
+
+
+def test_load_codebook_rejects_a_second_members_line(tmp_path):
+    path = tmp_path / "cb.txt"
+    path.write_text("method=random\nseed=3\nmembers=0,1\nd_min=1\nbit_width=1\n"
+                    "members=5,6,7\nfoo=bar\n")
+    with pytest.raises(ValueError, match="codebook file repeats key 'members'"):
+        load_codebook(path)

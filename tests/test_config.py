@@ -167,6 +167,21 @@ def test_validate_rejects_non_finite_floats(key, value):
     assert any(p.startswith(f"{key} must be finite, got ") for p in problems), problems
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("noise.snr_db = -300, 300", None),
+    ("noise.sweep_snr_db = 300", None),
+    ("noise.snr_db = 0, 300.5", "noise.snr_db must lie in [-300, 300] dB, got 0,300.5"),
+    ("noise.sweep_snr_db = -1e6", "noise.sweep_snr_db must lie in [-300, 300] dB, got -1000000"),
+])
+def test_validate_bounds_snr_settings(text, problem):
+    assert validate(parse_config_text(text + "\n")) == ([problem] if problem else [])
+
+
+def test_a_non_finite_snr_is_reported_once():
+    assert validate(parse_config_text("noise.snr_db = 0, -inf\n")) == [
+        "noise.snr_db must be finite, got 0,-inf"]
+
+
 def test_validate_rejects_negative_seeds():
     cfg = parse_config_text("run.seeds = 3, -4\ncandidates.seed = -1\n")
     assert validate(cfg) == ["run.seeds must be >= 0, got 3,-4",

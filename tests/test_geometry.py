@@ -348,3 +348,18 @@ def test_load_candidate_set_rejects_a_file_without_configurations(tmp_path):
 def test_load_candidate_set_rejects_an_empty_config_line(tmp_path):
     with pytest.raises(ValueError, match="at least one unit"):
         load_candidate_set(_candidate_file(tmp_path, "config=0", "config="))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines + ["seed=2"], "candidate-set file repeats key 'seed'"),
+    (lambda lines: [line for line in lines if not line.startswith("mode=")],
+     "candidate-set file is missing key 'mode'"),
+    (lambda lines: lines + ["foo=bar"], "candidate-set file has a stray line 'foo=bar'"),
+], ids=["repeated-key", "missing-key", "stray-line"])
+def test_load_candidate_set_rejects_a_broken_container(tmp_path, edit, message):
+    part = partition(build_grid(4, 4, 0.5), GranularityMode.element())
+    path = tmp_path / "cands.txt"
+    save_candidate_set(enumerate_candidates(part, 2, 5, 0.0, seed=1), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_candidate_set(path)

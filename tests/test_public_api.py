@@ -115,3 +115,35 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert sources, f"no sources under {SRC}"
     unused = [entry for path in sources for entry in _unused_imports(path)]
     assert not unused, f"unused imports: {', '.join(unused)}"
+
+
+def _module_level_private_names(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every ``_name`` a module defines at top level, dunders
+    excepted."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in defined
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_module_level_name_is_used():
+    """A helper that nothing under ``src/frisim`` reads is dead code."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert trees, f"no sources under {SRC}"
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    dead = [f"{path.name}:{line} {name}" for path, tree in trees.items()
+            for name, line in _module_level_private_names(tree) if name not in used]
+    assert not dead, f"private names nothing uses: {', '.join(dead)}"

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from frisim.geometry import ApertureGrid, CandidateSet, UnitPartition, unit_ids
+from frisim.seeding import row_normals
 from frisim.serialize import format_float, read_artifact, write_artifact
 
 RAYLEIGH = "rayleigh"
@@ -185,19 +186,17 @@ def _add_calibration_noise(values: np.ndarray, estimation_error_var: float,
                            seed: int) -> np.ndarray:
     """``values`` plus complex Gaussian calibration error of the given variance.
 
-    Row i draws from its own stream ``[seed, i]``, so the noise does not depend
-    on how map construction is ordered or distributed.
+    Row i draws from its own stream ``default_rng([seed, i])``, so the noise
+    does not depend on how map construction is ordered or distributed.
     """
     if estimation_error_var < 0:
         raise ValueError("estimation_error_var must be >= 0")
     if estimation_error_var == 0:
         return values
     m, r = values.shape
-    # One standard_normal(2r) call draws the same stream as a real-part
+    # One standard_normal(2r) draw per row is the same stream as a real-part
     # draw followed by an imaginary-part draw of r each.
-    noise = np.empty((m, 2 * r))
-    for i in range(m):
-        noise[i] = np.random.default_rng([seed, i]).standard_normal(2 * r)
+    noise = row_normals(seed, m, 2 * r)
     scale = np.sqrt(estimation_error_var / 2.0)
     return values + scale * (noise[:, :r] + 1j * noise[:, r:])
 

@@ -58,8 +58,10 @@ def net_throughput(k_eff: int, overhead_frac: float, p_e: float) -> float:
 
 
 def _median_pairwise(values: np.ndarray) -> float:
-    iu = np.triu_indices(values.shape[0], k=1)
-    return float(np.median(values[iu]))
+    # The strict upper triangle gathered by row slices needs no (M^2 / 2)
+    # index arrays; the median depends only on the multiset, not its order.
+    upper = np.concatenate([values[i, i + 1:] for i in range(values.shape[0] - 1)])
+    return float(np.median(upper))
 
 
 def evaluate_mode(config: ExperimentConfig, candidates: CandidateSet,

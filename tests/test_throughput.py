@@ -11,7 +11,8 @@ from frisim.geometry import (GranularityMode, InfeasibleConstraintError, build_g
                              enumerate_candidates, partition)
 from frisim.pipeline import run_sweep
 from frisim.seeding import TAG_SWEEP_CANDIDATES, TAG_SWEEP_MAP, derive_seed
-from frisim.throughput import evaluate_mode, net_throughput, overhead_fraction
+from frisim.throughput import (_median_pairwise, evaluate_mode, net_throughput,
+                               overhead_fraction)
 
 
 def test_overhead_fraction_hand_values():
@@ -63,6 +64,16 @@ def test_net_throughput_validation():
         net_throughput(4, 1.5, 0.0)
     with pytest.raises(ValueError):
         net_throughput(4, 0.5, -0.1)
+
+
+# Pair counts M (M - 1) / 2: 1, 3 and 15 are odd, 6, 10 and 2016 even.
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 64])
+def test_median_pairwise_equals_the_triu_indices_gather(m):
+    rng = np.random.default_rng(m)
+    for values in (rng.random((m, m)), rng.integers(0, 4, (m, m)).astype(float)):
+        values = values + values.T  # symmetric; the integer draw makes ties
+        reference = float(np.median(values[np.triu_indices(m, k=1)]))
+        assert _median_pairwise(values) == reference
 
 
 def _config(*modes, **overrides):

@@ -32,23 +32,53 @@ SELECTION_METHODS = (METHOD_GREEDY, METHOD_EXACT, METHOD_LAYOUT, METHOD_RANDOM,
 EXACT_SUBSET_LIMIT = 10_000_000
 
 
-@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric nonnegative pairwise metric over candidate ids 0..M-1."""
+    """Symmetric nonnegative pairwise metric over candidate ids 0..M-1.
 
-    values: np.ndarray
-    domain_tag: str
+    Selectors read it through ``rows``, ``block``, ``farthest_pair`` and
+    ``upper_triangle``; this class answers them from the (M, M) ``values``
+    array it holds. ``pairwise_distances`` returns a view that computes them
+    on demand instead.
+    """
 
-    def __post_init__(self) -> None:
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"distance matrix must be square, got shape {v.shape}")
-        if self.domain_tag not in (DOMAIN_RESPONSE, DOMAIN_LAYOUT):
-            raise ValueError(f"unknown distance domain {self.domain_tag!r}")
+    def __init__(self, values: np.ndarray, domain_tag: str) -> None:
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError(f"distance matrix must be square, got shape {values.shape}")
+        if domain_tag not in (DOMAIN_RESPONSE, DOMAIN_LAYOUT):
+            raise ValueError(f"unknown distance domain {domain_tag!r}")
+        self._values = values
+        self.domain_tag = domain_tag
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values
 
     @property
     def size(self) -> int:
-        return self.values.shape[0]
+        return self._values.shape[0]
+
+    def rows(self, ids) -> np.ndarray:
+        """(len(ids), M) distances from each candidate in ``ids`` to all."""
+        return self._values[list(ids)]
+
+    def block(self, ids) -> np.ndarray:
+        """(K, K) distances among the candidates ``ids``, in their order."""
+        idx = list(ids)
+        return self._values[np.ix_(idx, idx)]
+
+    def farthest_pair(self) -> tuple[int, int]:
+        """First row-major maximum of the strict upper triangle.
+
+        ``values`` is symmetric with a zero diagonal, so the first row-major
+        maximum of the whole matrix lies in the strict upper triangle unless
+        every entry is zero; that matrix gives the pair (0, 1).
+        """
+        first, second = divmod(int(np.argmax(self._values)), self.size)
+        return (0, 1) if first == second else (first, second)
+
+    def upper_triangle(self) -> np.ndarray:
+        """Strict upper triangle in row-major order, as a new array."""
+        return self._values[np.triu_indices(self.size, k=1)]
 
 
 @dataclass(frozen=True)
@@ -78,51 +108,156 @@ def response_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(total)
 
 
+def _row_blocks(rows: int, width: int):
+    """(start, stop) blocks of ``rows`` rows ``width`` entries long, about
+    2^15 entries a block, which keeps the temporaries in cache."""
+    chunk = max(1, (1 << 15) // max(1, width))
+    for start in range(0, rows, chunk):
+        yield start, min(rows, start + chunk)
+
+
 def _symmetric_from_row_blocks(m: int, block, dtype) -> np.ndarray:
     """(m, m) ``dtype`` matrix from its upper triangle: ``block(start, stop)``
     gives rows start:stop against columns start:, and each block is mirrored
-    below the diagonal."""
+    below the diagonal, so the work stays close to half of the matrix."""
     out = np.empty((m, m), dtype=dtype)
-    # Row blocks of about 2^15 entries keep the temporaries in cache and the
-    # work close to half of the full matrix.
-    chunk = max(1, (1 << 15) // max(1, m))
-    for start in range(0, m, chunk):
-        stop = min(m, start + chunk)
+    for start, stop in _row_blocks(m, m):
         values = block(start, stop)
         out[start:stop, start:] = values
         out[start:, start:stop] = values.T
     return out
 
 
-def pairwise_distances(response_map: ResponseMap) -> DistanceMatrix:
-    """All-pairs response distances, computed by direct differencing.
+def _antenna_sum(re: np.ndarray, im: np.ndarray, left, right) -> np.ndarray:
+    """Response distances between the candidates ``re[t][left]`` and
+    ``re[t][right]`` (index expressions that broadcast), with the
+    per-antenna terms of the (R, M) arrays ``re`` and ``im`` summed in
+    antenna order. Every caller gets the same terms in the same order, so a
+    pair's distance is bit-identical whichever read computes it."""
+    total = None
+    for t in range(re.shape[0]):
+        dr = re[t][left] - re[t][right]
+        di = im[t][left] - im[t][right]
+        dr *= dr
+        di *= di
+        dr += di
+        if total is None:
+            total = dr
+        else:
+            total += dr
+    return total
 
-    Each entry is bit-identical to response_distance on the same rows:
-    direct differencing (rather than a Gram-matrix expansion) gives the same
-    per-antenna terms, and they are added in the same index order. Only the
-    upper triangle is computed; the difference of a pair only changes
-    sign when the pair is swapped, so the mirrored entries are exact.
+
+# Relative slack on the norm bound of farthest_pair; see the comment there.
+_PRUNE_SLACK = 1.0 + 1e-9
+
+
+class _ResponseDistances(DistanceMatrix):
+    """Response distances of a map, computed on demand from its rows.
+
+    Rows, blocks, the farthest pair and the upper triangle cost O(M R) each,
+    or O(M^2 R) for the triangle in row blocks; only ``values`` builds (and
+    keeps) the full (M, M) matrix.
     """
-    values = response_map.values
-    re = np.ascontiguousarray(values.real.T)
-    im = np.ascontiguousarray(values.imag.T)
 
-    def block(start: int, stop: int) -> np.ndarray:
-        def term(t: int) -> np.ndarray:
-            dr = re[t, start:stop, None] - re[t, None, start:]
-            di = im[t, start:stop, None] - im[t, None, start:]
-            dr *= dr
-            di *= di
-            dr += di
-            return dr
-        total = term(0)
-        for t in range(1, values.shape[1]):
-            total += term(t)
-        return total
+    def __init__(self, response_map: ResponseMap) -> None:
+        values = response_map.values
+        self._re = np.ascontiguousarray(values.real.T)
+        self._im = np.ascontiguousarray(values.imag.T)
+        self._values = None
+        self.domain_tag = DOMAIN_RESPONSE
 
-    out = _symmetric_from_row_blocks(len(response_map), block, np.float64)
-    np.fill_diagonal(out, 0.0)
-    return DistanceMatrix(values=out, domain_tag=DOMAIN_RESPONSE)
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _symmetric_from_row_blocks(self.size, self._upper_block,
+                                                      np.float64)
+        return self._values
+
+    @property
+    def size(self) -> int:
+        return self._re.shape[1]
+
+    def _upper_block(self, start: int, stop: int) -> np.ndarray:
+        return _antenna_sum(self._re, self._im, (slice(start, stop), None),
+                            (None, slice(start, None)))
+
+    def rows(self, ids) -> np.ndarray:
+        return _antenna_sum(self._re, self._im, (np.asarray(ids, dtype=np.intp), None),
+                            (None, slice(None)))
+
+    def block(self, ids) -> np.ndarray:
+        idx = np.asarray(ids, dtype=np.intp)
+        return _antenna_sum(self._re, self._im, (idx, None), (None, idx))
+
+    def upper_triangle(self) -> np.ndarray:
+        m = self.size
+        out = np.empty(m * (m - 1) // 2)
+        pos = 0
+        for start, stop in _row_blocks(m, m):
+            keep = np.arange(m - start)[None, :] > np.arange(stop - start)[:, None]
+            part = self._upper_block(start, stop)[keep]
+            out[pos:pos + part.size] = part
+            pos += part.size
+        return out
+
+    def farthest_pair(self) -> tuple[int, int]:
+        m = self.size
+        if m < 2:
+            raise ValueError(f"a farthest pair needs 2 candidates, got {m}")
+        re, im = self._re, self._im
+        # Exactness of the pruning. For any centre c the triangle inequality
+        # gives d(i, j) <= (n_i + n_j)^2, with n the norms about c; c is the
+        # computed pool mean, and it need not be exact, only common to all
+        # candidates. Every computed norm, bound and distance is a short chain
+        # of correctly rounded operations on nonnegative terms (each
+        # difference is one subtraction), so each lies within a relative
+        # (R + 10) * 2^-53 of its exact value, far below 1e-9 for any antenna
+        # count in use (squares in the normal float range assumed). A computed
+        # distance therefore never exceeds its computed bound times
+        # _PRUNE_SLACK. A pair is skipped only when that product is below the
+        # computed distance ``best`` of a pair already seen, so a skipped pair
+        # is strictly closer than the maximum and cannot tie it: the maximum
+        # and its ties are all scanned, in row-major order.
+        cr = re - re.mean(axis=1, keepdims=True)
+        ci = im - im.mean(axis=1, keepdims=True)
+        norms = np.sqrt(np.sum(cr * cr + ci * ci, axis=0))
+        # The candidate farthest from the centre gives a first, usually tight,
+        # lower bound on the maximum.
+        best = float(self.rows([int(np.argmax(norms))]).max())
+        reach = np.flatnonzero((norms + norms.max()) ** 2 * _PRUNE_SLACK >= best)
+        columns = np.arange(m)
+        pair, found = None, -np.inf
+        for start, stop in _row_blocks(len(reach), m):
+            rows = reach[start:stop]
+            keep = (norms[rows, None] + norms) ** 2 * _PRUNE_SLACK >= best
+            keep &= columns > rows[:, None]
+            i, j = np.nonzero(keep)
+            if not i.size:
+                continue
+            i = rows[i]
+            d = _antenna_sum(re, im, i, j)
+            top = int(np.argmax(d))
+            if d[top] > found:
+                pair, found = (int(i[top]), int(j[top])), float(d[top])
+                best = max(best, found)
+        assert pair is not None, "the pair that set the first bound was pruned"
+        return pair
+
+
+def pairwise_distances(response_map: ResponseMap) -> DistanceMatrix:
+    """Response distances of ``response_map``'s candidates, as a view that
+    computes the rows, blocks, farthest pair or upper triangle a caller
+    reads; ``values`` builds the full (M, M) matrix.
+
+    Every entry is bit-identical to response_distance on the same rows:
+    direct differencing (rather than a Gram-matrix expansion) gives the same
+    per-antenna terms, and they are added in the same index order. Swapping a
+    pair only flips the sign of its difference, so rows, blocks and the
+    mirrored half of ``values`` are exact too, and a candidate's distance to
+    itself is exactly 0.
+    """
+    return _ResponseDistances(response_map)
 
 
 # Set bits of every byte value, for popcounts of packed masks.
@@ -159,23 +294,17 @@ def subset_d_min(values: np.ndarray, members) -> float:
     return float(sub[iu].min())
 
 
-def _greedy_members(values: np.ndarray, k: int) -> list[int]:
-    """Farthest-point greedy; all ties resolve to the lowest candidate id.
-
-    ``values`` is symmetric with a zero diagonal, so the first row-major
-    maximum lies in the strict upper triangle unless every entry is zero;
-    that matrix starts from the pair (0, 1).
-    """
-    first, second = divmod(int(np.argmax(values)), values.shape[1])
-    if first == second:
-        first, second = 0, 1
-    members = [first, second]
-    gap = np.minimum(values[first], values[second]).astype(float, copy=False)
+def _greedy_members(distances: DistanceMatrix, k: int) -> list[int]:
+    """Farthest-point greedy from the farthest pair; all ties resolve to the
+    lowest candidate id. Reads the pair and the k rows of the members only."""
+    members = list(distances.farthest_pair())
+    pair = distances.rows(members)
+    gap = np.minimum(pair[0], pair[1]).astype(float, copy=False)
     gap[members] = -np.inf
     while len(members) < k:
         nxt = int(np.argmax(gap))
         members.append(nxt)
-        gap = np.minimum(gap, values[nxt])
+        gap = np.minimum(gap, distances.rows([nxt])[0])
         gap[nxt] = -np.inf
     return members
 
@@ -199,8 +328,9 @@ def _codebook(members, method: str, distances: DistanceMatrix,
     """``members`` as ``method``'s codebook; every selector reports d_min from
     the response-domain ``distances`` so codebooks stay comparable."""
     members = tuple(members)
+    block = distances.block(members)
     return Codebook(members=members, selection_method=method,
-                    d_min=subset_d_min(distances.values, members),
+                    d_min=subset_d_min(block, range(len(members))),
                     bit_width=math.log2(len(members)), seed=seed)
 
 
@@ -208,7 +338,7 @@ def select_maxmin_greedy(distances: DistanceMatrix, k: int) -> Codebook:
     """Greedy max-min selection seeded with the globally farthest pair."""
     _require_domain(distances, DOMAIN_RESPONSE)
     _check_k(k, distances.size)
-    return _codebook(_greedy_members(distances.values, k), METHOD_GREEDY, distances)
+    return _codebook(_greedy_members(distances, k), METHOD_GREEDY, distances)
 
 
 def select_maxmin_exact(distances: DistanceMatrix, k: int) -> Codebook:
@@ -251,7 +381,7 @@ def select_layout_maxmin(layout: DistanceMatrix, distances: DistanceMatrix,
     if layout.size != distances.size:
         raise ValueError("layout and response distances cover different candidates")
     _check_k(k, layout.size)
-    return _codebook(_greedy_members(layout.values, k), METHOD_LAYOUT, distances)
+    return _codebook(_greedy_members(layout, k), METHOD_LAYOUT, distances)
 
 
 def select_codebook(method: str, distances: DistanceMatrix,
@@ -283,11 +413,11 @@ def effective_size(codebook: Codebook, distances: DistanceMatrix, delta: float) 
     _require_domain(distances, DOMAIN_RESPONSE)
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    values = distances.values
+    block = distances.block(codebook.members)
     kept: list[int] = []
-    for member in codebook.members:
-        if all(values[member, other] >= delta for other in kept):
-            kept.append(member)
+    for position in range(len(codebook.members)):
+        if all(block[position, other] >= delta for other in kept):
+            kept.append(position)
     return len(kept)
 
 

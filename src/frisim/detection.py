@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from frisim.channel import ResponseMap
-from frisim.codebook import Codebook, response_distance
+from frisim.codebook import Codebook, pairwise_distances
 
 # Fixed simulation batch size; keeps draw order independent of trial count.
 _BATCH = 1 << 15
@@ -132,12 +132,11 @@ def union_bound(codebook: Codebook, response_map: ResponseMap, n0: float) -> flo
     k = len(members)
     if k < 2:
         raise ValueError("union bound needs at least 2 codewords")
-    responses = response_map.values[members]
+    distances = pairwise_distances(response_map).block(members)
     total = 0.0
     for i in range(k):
         for j in range(i + 1, k):
-            d = response_distance(responses[i], responses[j])
-            total += 2.0 * pairwise_error_prob(d, n0)
+            total += 2.0 * pairwise_error_prob(float(distances[i, j]), n0)
     return min(1.0, total / k)
 
 

@@ -265,9 +265,6 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
                     cell = totals.setdefault((method, ctx.index, snr_idx), [k, 0, 0])
                     cell[1] += est.trials
                     cell[2] += est.errors
-            # Free this context's M x M distances before the next context
-            # computes its own, so that two never coexist at the peak.
-            del distances
 
     aggregate_rows: list[tuple] = []
     for method in config.methods:

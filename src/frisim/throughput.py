@@ -57,13 +57,6 @@ def net_throughput(k_eff: int, overhead_frac: float, p_e: float) -> float:
     return (1.0 - overhead_frac) * math.log2(k_eff) * (1.0 - p_e)
 
 
-def _median_pairwise(values: np.ndarray) -> float:
-    # The strict upper triangle gathered by row slices needs no (M^2 / 2)
-    # index arrays; the median depends only on the multiset, not its order.
-    upper = np.concatenate([values[i, i + 1:] for i in range(values.shape[0] - 1)])
-    return float(np.median(upper))
-
-
 def evaluate_mode(config: ExperimentConfig, candidates: CandidateSet,
                   design_map: ResponseMap, truth: ResponseMap | None,
                   distances: DistanceMatrix) -> ThroughputReport:
@@ -83,7 +76,9 @@ def evaluate_mode(config: ExperimentConfig, candidates: CandidateSet,
             f"mode {part.mode.label} yields {len(candidates)} candidate(s); "
             f"a codebook needs at least 2")
     codebook = select_maxmin_greedy(distances, k)
-    delta = config.keff_delta_frac * _median_pairwise(distances.values)
+    # The triangle is a fresh array, so the median may reorder it in place.
+    median = float(np.median(distances.upper_triangle(), overwrite_input=True))
+    delta = config.keff_delta_frac * median
     k_eff = effective_size(codebook, distances, delta)
     oh = overhead_fraction(part, k, config)
 

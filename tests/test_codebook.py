@@ -237,6 +237,83 @@ def test_greedy_seed_pair_is_the_first_upper_triangle_maximum(seed):
     assert cb.members[:2] == _masked_greedy_pair(values)
 
 
+def _assert_view_matches_values(values: np.ndarray) -> None:
+    """Every read of the on-demand view equals the same read of the full
+    matrix that ``values`` builds, bit for bit and in the same order."""
+    view = pairwise_distances(_map_of(values))
+    full = pairwise_distances(_map_of(values)).values
+    assert view.farthest_pair() == _masked_greedy_pair(full)
+    m = full.shape[0]
+    upper = view.upper_triangle()
+    assert upper.tobytes() == full[np.triu_indices(m, k=1)].tobytes()
+    ids = [m - 1, 0, m // 2, m - 1]
+    assert view.rows(ids).tobytes() == full[ids].tobytes()
+    assert view.block(ids).tobytes() == full[np.ix_(ids, ids)].tobytes()
+
+
+# 1100 candidates take 29 rows per block of 2**15 entries, so the scans cross
+# about 38 row blocks.
+@pytest.mark.parametrize("m", [2, 3, 30, 257, 1100])
+@pytest.mark.parametrize("r", [1, 2, 4, 7])
+def test_distance_view_matches_the_full_matrix_on_random_maps(r, m):
+    rng = np.random.default_rng(100 * r + m)
+    _assert_view_matches_values(rng.standard_normal((m, r))
+                                + 1j * rng.standard_normal((m, r)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_distance_view_keeps_the_first_of_tied_maxima(seed):
+    # Small integers tie often. On a real line every pair across the mean
+    # meets the norm bound with equality, so a bound without upward slack
+    # would prune the maximum itself.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 200))
+    r = 1 + seed % 3
+    _assert_view_matches_values(rng.integers(0, 3, (m, r)).astype(complex))
+    _assert_view_matches_values(rng.integers(-2, 3, (m, r))
+                                + 1j * rng.integers(-2, 3, (m, r)))
+
+
+def test_distance_view_on_duplicate_rows():
+    rng = np.random.default_rng(8)
+    base = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    values = base[rng.integers(0, 40, 600)]
+    _assert_view_matches_values(values)
+
+
+@pytest.mark.parametrize("m", [2, 5, 1100])
+def test_distance_view_on_an_all_equal_map_gives_the_first_pair(m):
+    for row in (np.zeros(3, dtype=complex), np.full(3, 0.1 + 0.7j)):
+        values = np.tile(row, (m, 1))
+        assert pairwise_distances(_map_of(values)).farthest_pair() == (0, 1)
+        _assert_view_matches_values(values)
+
+
+def test_distance_view_with_a_large_common_offset():
+    rng = np.random.default_rng(5)
+    values = 1e8 * (1 + 1j) + rng.standard_normal((500, 4)) \
+        + 1j * rng.standard_normal((500, 4))
+    _assert_view_matches_values(values)
+    # Integer spread on the offset: exact differences and tied maxima.
+    _assert_view_matches_values(1e8 + rng.integers(0, 3, (300, 2)).astype(complex))
+
+
+def test_array_distance_matrix_answers_the_same_reads():
+    rng = np.random.default_rng(4)
+    upper = np.triu(rng.integers(0, 4, size=(9, 9)), k=1).astype(np.uint8)
+    values = upper + upper.T
+    distances = DistanceMatrix(values, "layout")
+    assert distances.farthest_pair() == _masked_greedy_pair(values.astype(float))
+    assert np.array_equal(distances.upper_triangle(), values[np.triu_indices(9, k=1)])
+    assert np.array_equal(distances.rows([3, 1]), values[[3, 1]])
+    assert np.array_equal(distances.block([3, 1, 8]), values[np.ix_([3, 1, 8], [3, 1, 8])])
+
+
+def test_farthest_pair_needs_two_candidates():
+    with pytest.raises(ValueError, match="2 candidates"):
+        pairwise_distances(_map_of([[1 + 2j]])).farthest_pair()
+
+
 def test_greedy_on_an_all_zero_matrix_starts_from_the_first_pair():
     zeros = np.zeros((4, 4))
     response = DistanceMatrix(values=zeros, domain_tag="response")

@@ -194,6 +194,22 @@ def test_union_bound_binary_case_is_exact():
     assert union_bound(cb, rmap, 0.7) == pairwise_error_prob(d, 0.7)
 
 
+@pytest.mark.parametrize("r", [1, 4, 9])
+def test_union_bound_equals_the_pairwise_sum_in_pair_order(r):
+    # The K x K block holds response_distance's values, and the terms are
+    # added in the same pair order, so the sum is bit-identical.
+    rmap = _random_instance(30 + r, m=40, r=r)
+    cb = select_random(pairwise_distances(rmap), 7, seed=r)
+    responses = rmap.values[list(cb.members)]
+    total = 0.0
+    for i in range(7):
+        for j in range(i + 1, 7):
+            d = response_distance(responses[i], responses[j])
+            total += 2.0 * pairwise_error_prob(d, 0.5)
+    assert 0.0 < total / 7 < 1.0  # not clipped
+    assert union_bound(cb, rmap, 0.5) == total / 7
+
+
 def test_union_bound_clips_at_one_for_identical_codewords():
     rmap = _map_of(np.ones((4, 3), dtype=complex))
     cb = select_maxmin_greedy(pairwise_distances(rmap), 3)

@@ -1,6 +1,7 @@
 """End-to-end pipeline tests: result tables, CSV round-trips, scenarios."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -260,6 +261,25 @@ class TestRunBer:
         assert np.all(greedy > layout)
         assert greedy.mean() > 3 * layout.mean()
         assert greedy.mean() > 3 * random.mean()
+
+    def test_peak_memory_stays_below_one_distance_matrix(self):
+        # The selectors read the farthest pair, rows and blocks on demand, so
+        # no (M, M) float64 response-distance matrix (8 MB at M = 1024) is
+        # built; the uint8 layout matrices and the maps stay well below it.
+        m = 1024
+        cfg = ExperimentConfig(
+            modes=(GranularityMode.element(), GranularityMode.group(2, 2)),
+            m_samples=m, estimation_error_var=0.05,
+            methods=("random", "layout_maxmin", "response_maxmin_greedy"),
+            snr_db=(10.0,), trials=200, seeds=(1,))
+        tracemalloc.start()
+        try:
+            tables = run_ber(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tables["codebooks"].rows) == 6
+        assert peak < m * m * 8
 
 
 class TestRunSweep:

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from frisim import pipeline
-from frisim.channel import build_design_maps, coupling_matrix, draw_channel
+from frisim.channel import (MapProvenance, ResponseMap, build_design_maps, coupling_matrix,
+                            draw_channel)
 from frisim.codebook import pairwise_distances
 from frisim.config import ConfigError, ExperimentConfig, channel_params
 from frisim.geometry import (GranularityMode, InfeasibleConstraintError, build_grid,
                              enumerate_candidates, partition)
 from frisim.pipeline import run_sweep
 from frisim.seeding import TAG_SWEEP_CANDIDATES, TAG_SWEEP_MAP, derive_seed
-from frisim.throughput import (_median_pairwise, evaluate_mode, net_throughput,
-                               overhead_fraction)
+from frisim.throughput import evaluate_mode, net_throughput, overhead_fraction
 
 
 def test_overhead_fraction_hand_values():
@@ -69,11 +69,17 @@ def test_net_throughput_validation():
 # Pair counts M (M - 1) / 2: 1, 3 and 15 are odd, 6, 10 and 2016 even.
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 64])
 def test_median_pairwise_equals_the_triu_indices_gather(m):
+    # evaluate_mode's pruning scale: the median of the view's upper triangle,
+    # read on demand, against the same median gathered from the full matrix.
     rng = np.random.default_rng(m)
-    for values in (rng.random((m, m)), rng.integers(0, 4, (m, m)).astype(float)):
-        values = values + values.T  # symmetric; the integer draw makes ties
-        reference = float(np.median(values[np.triu_indices(m, k=1)]))
-        assert _median_pairwise(values) == reference
+    for values in (rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3)),
+                   rng.integers(0, 3, (m, 2)) + 1j * rng.integers(0, 2, (m, 2))):
+        design_map = ResponseMap(values=values.astype(complex),
+                                 provenance=MapProvenance(0, 0.0, "none"))
+        full = pairwise_distances(design_map).values  # the integer map makes ties
+        reference = float(np.median(full[np.triu_indices(m, k=1)]))
+        upper = pairwise_distances(design_map).upper_triangle()
+        assert float(np.median(upper, overwrite_input=True)) == reference
 
 
 def _config(*modes, **overrides):

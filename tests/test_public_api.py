@@ -1,8 +1,9 @@
 """Every exported name resolves, and every function the benchmark's tracer
 wraps still exists, so a deletion fails here and not when the tracer runs.
-The same holds for every name the benchmark imports from frisim and every
-keyword argument it passes to one. No frisim module imports a name it does
-not use, since pyflakes-style linters are not a dependency."""
+The same holds for every name the benchmark imports from frisim or reads as
+a ``frisim.<module>.<name>`` attribute, and every keyword argument it passes
+to one. No frisim module imports a name it does not use, since
+pyflakes-style linters are not a dependency."""
 
 import ast
 import importlib
@@ -56,10 +57,39 @@ def _frisim_imports(tree: ast.AST) -> dict[str, tuple[str, str]]:
     return imports
 
 
+def _frisim_attribute_chains(tree: ast.AST) -> set[tuple[str, ...]]:
+    """``("cli", "run_ber")`` for each ``frisim.cli.run_ber`` read in ``tree``,
+    and likewise for every other dotted chain rooted at the name ``frisim``."""
+    chains = set()
+    for node in ast.walk(tree):
+        parts, link = [], node
+        while isinstance(link, ast.Attribute):
+            parts.append(link.attr)
+            link = link.value
+        if parts and isinstance(link, ast.Name) and link.id == "frisim":
+            chains.add(tuple(reversed(parts)))
+    return chains
+
+
+def _resolve_chain(chain: tuple[str, ...]) -> None:
+    """Follow ``frisim.<chain>``, importing a submodule where the chain names
+    one; raises AttributeError or ImportError at the first missing link."""
+    obj = frisim
+    for part in chain:
+        if inspect.ismodule(obj) and not hasattr(obj, part):
+            importlib.import_module(f"{obj.__name__}.{part}")
+        obj = getattr(obj, part)
+
+
 def test_names_and_keywords_the_benchmark_uses_resolve():
     problems = []
     for path in _benchmark_sources():
         tree = ast.parse(path.read_text())
+        for chain in sorted(_frisim_attribute_chains(tree)):
+            try:
+                _resolve_chain(chain)
+            except (AttributeError, ImportError):
+                problems.append(f"{path.name}: frisim.{'.'.join(chain)} does not resolve")
         resolved = {}
         for local, (module, name) in _frisim_imports(tree).items():
             try:

@@ -3,8 +3,7 @@
 Subcommands map onto the workflow stages: ``design`` writes the candidate set,
 response map, and codebooks for inspection; ``ber`` and ``sweep`` run the
 Monte Carlo studies from a config file; ``repro-a`` and ``repro-b`` regenerate
-the two built-in scenario result sets; ``selftest`` runs the packaged oracle
-checks.
+the two built-in scenario result sets.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from frisim.pipeline import (SCENARIO_A_SEED_COUNT, SCENARIO_A_TRIALS,
                              SCENARIO_B_TRIALS, design_artifacts, emit_table,
                              reproduce_scenario_a, reproduce_scenario_b,
                              run_ber, run_sweep)
-from frisim.selftest import run_selftest
 
 _TABLE_FILES = {
     "ber_per_seed": "ber_per_seed.csv",
@@ -83,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     repro_b.add_argument("--seed", type=_seed, default=7,
                          help="base seed for the estimation seed list")
     repro_b.add_argument("--trials", type=int, default=SCENARIO_B_TRIALS)
-
-    sub.add_parser("selftest", help="run the built-in oracle checks")
     return parser
 
 
@@ -158,8 +154,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:  # argparse reports its own errors
         return int(exit_.code or 0)
     try:
-        if args.command == "selftest":
-            return 1 if run_selftest() else 0
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

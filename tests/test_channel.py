@@ -28,13 +28,14 @@ def test_channel_params_validation():
 
 def test_rayleigh_draw_shape_and_determinism():
     grid = build_grid(4, 4, 0.5)
-    params = ChannelParams(rx_antennas=3, seed=11)
-    a = draw_channel(grid, params)
-    b = draw_channel(grid, params)
-    assert a.cascaded.shape == (16, 3)
-    assert np.array_equal(a.cascaded, b.cascaded)
-    c = draw_channel(grid, ChannelParams(rx_antennas=3, seed=12))
-    assert not np.array_equal(a.cascaded, c.cascaded)
+    for rx in (2, 3):
+        params = ChannelParams(rx_antennas=rx, seed=11)
+        a = draw_channel(grid, params)
+        b = draw_channel(grid, params)
+        assert a.cascaded.shape == (16, rx)
+        assert np.array_equal(a.cascaded, b.cascaded)
+        c = draw_channel(grid, ChannelParams(rx_antennas=rx, seed=12))
+        assert not np.array_equal(a.cascaded, c.cascaded)
 
 
 def test_rayleigh_cascaded_gain_has_unit_second_moment():
@@ -102,10 +103,10 @@ def test_coupling_matrix_structure():
 
 
 def test_zero_rho_is_identity_for_every_kernel():
-    grid = build_grid(2, 3, 0.3)
-    for kernel in ("sinc", "exponential", "none"):
-        c = coupling_matrix(grid, 0.0, kernel)
-        assert np.array_equal(c.entries, np.eye(6))
+    for grid in (build_grid(2, 3, 0.3), build_grid(1, 2, 0.25)):
+        for kernel in ("sinc", "exponential", "none"):
+            c = coupling_matrix(grid, 0.0, kernel)
+            assert np.array_equal(c.entries, np.eye(grid.n_elements))
 
 
 def test_coupling_matrix_validation():

@@ -164,25 +164,32 @@ def test_layout_greedy_on_integer_counts_matches_a_float64_copy():
         assert codebook.members == (0, 1, 2, 3)
 
 
+def _scalar_line_distances() -> tuple[DistanceMatrix, DistanceMatrix]:
+    """The points 0, 1, 2, 5 as a response map's view and as a hand-built array."""
+    line = np.array([0.0, 1.0, 2.0, 5.0])
+    return (_scalar_distances(line),
+            DistanceMatrix(values=(line[:, None] - line[None, :]) ** 2, domain_tag="response"))
+
+
 def test_greedy_selection_on_scalar_line():
-    distances = _scalar_distances([0.0, 1.0, 2.0, 5.0])
-    pair = select_maxmin_greedy(distances, 2)
-    assert pair.members == (0, 3)
-    assert pair.d_min == 25.0
-    assert pair.bit_width == 1.0
-    triple = select_maxmin_greedy(distances, 3)
-    assert triple.members == (0, 3, 2)
-    assert triple.d_min == 4.0
+    for distances in _scalar_line_distances():
+        pair = select_maxmin_greedy(distances, 2)
+        assert pair.members == (0, 3)
+        assert pair.d_min == 25.0
+        assert pair.bit_width == 1.0
+        triple = select_maxmin_greedy(distances, 3)
+        assert triple.members == (0, 3, 2)
+        assert triple.d_min == 4.0
 
 
 def test_exact_selection_on_scalar_line():
-    distances = _scalar_distances([0.0, 1.0, 2.0, 5.0])
-    assert select_maxmin_exact(distances, 2).d_min == 25.0
-    exact = select_maxmin_exact(distances, 3)
-    assert exact.d_min == 4.0
-    # 4 = min over {0,2,5}: |0-2|^2=4; brute force confirms no better triple
-    _, best_d = _brute_force_best(distances.values, 3)
-    assert exact.d_min == best_d
+    for distances in _scalar_line_distances():
+        assert select_maxmin_exact(distances, 2).d_min == 25.0
+        exact = select_maxmin_exact(distances, 3)
+        assert exact.d_min == 4.0
+        # 4 = min over {0,2,5}: |0-2|^2=4; brute force confirms no better triple
+        _, best_d = _brute_force_best(distances.values, 3)
+        assert exact.d_min == best_d
 
 
 def test_greedy_and_exact_agree_for_pairs():

@@ -75,11 +75,12 @@ def test_simulate_ber_binary_matches_q_function():
     rmap = _random_instance(5, m=2, r=4)
     cb = select_maxmin_greedy(pairwise_distances(rmap), 2)
     d = cb.d_min
-    n0 = d / (2.0 * 1.0)  # puts the analytic rate at Q(1)
-    est = simulate_ber(cb, rmap, n0, trials=100_000, seed=7)
-    analytic = pairwise_error_prob(d, n0)
-    assert analytic == pytest.approx(q_function(1.0), rel=1e-12)
-    assert abs(est.p_hat - analytic) <= 3 * est.ci95_half_width
+    for x, trials, seed in ((1.0, 100_000, 7), (1.2, 200_000, 9)):
+        n0 = d / (2.0 * x ** 2)  # puts the analytic rate at Q(x)
+        est = simulate_ber(cb, rmap, n0, trials=trials, seed=seed)
+        analytic = pairwise_error_prob(d, n0)
+        assert analytic == pytest.approx(q_function(x), rel=1e-12)
+        assert abs(est.p_hat - analytic) <= 3 * est.ci95_half_width
 
 
 def test_simulate_ber_determinism_and_seed_sensitivity():

@@ -87,17 +87,19 @@ def test_default_spacing_rule():
 
 def test_enumerate_block_mode_gives_one_config_per_block():
     part = partition(build_grid(8, 8, 0.5), GranularityMode.block(4, 4))
-    cands = enumerate_candidates(part, 16, 512, 0.0, seed=1)
-    assert len(cands) == 4
-    assert cands.units.tolist() == [[0], [1], [2], [3]]
+    for spacing in (0.0, 0.5):
+        cands = enumerate_candidates(part, 16, 512, spacing, seed=1)
+        assert len(cands) == 4
+        assert cands.units.tolist() == [[0], [1], [2], [3]]
 
 
 def test_enumerate_group_mode_exhaustive_count():
     part = partition(build_grid(8, 8, 0.5), GranularityMode.group(2, 2))
-    cands = enumerate_candidates(part, 16, 2000, 0.0, seed=1)
-    assert len(cands) == math.comb(16, 4)
-    seen = {tuple(row) for row in cands.units.tolist()}
-    assert len(seen) == 1820  # all distinct
+    for spacing in (0.0, 0.5):  # group centres sit 1.0 apart, so 0.5 rejects none
+        cands = enumerate_candidates(part, 16, 2000, spacing, seed=1)
+        assert len(cands) == math.comb(16, 4)
+        seen = {tuple(row) for row in cands.units.tolist()}
+        assert len(seen) == 1820  # all distinct
 
 
 def test_enumerate_diagonal_spacing_filter():

@@ -40,6 +40,7 @@ def test_overhead_fraction_clips_and_validates():
 def test_net_throughput_anchor_points():
     assert net_throughput(4, 0.5, 0.0) == 1.0
     assert net_throughput(4, 1.0, 0.25) == 0.0
+    assert net_throughput(4, 1.0, 0.0) == 0.0
     assert net_throughput(4, 0.25, 1.0) == 0.0
     assert net_throughput(1, 0.0, 0.0) == 0.0  # a 1-codeword book carries no bits
 

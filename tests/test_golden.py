@@ -28,14 +28,19 @@ summation of the antenna terms still agree.
 A LoS sweep pins what scenario B leaves out: the exponential kernel, seven
 receive antennas, calibrated maps, a K cap (block:4x4 has four layouts) and
 four modes that share one channel realization.
+
+Scenario B at ``keff_delta_frac`` 2.0 pins the K_eff pruning itself: every
+other pin keeps K_eff = K, while this one prunes to 6, 3 and 1 of 8, 8 and 4
+members, so its threshold is the pool's median response distance.
 """
 
+import dataclasses
 import hashlib
 
 from frisim.config import ExperimentConfig
 from frisim.geometry import GranularityMode
 from frisim.pipeline import (design_artifacts, emit_table, reproduce_scenario_a,
-                             reproduce_scenario_b, run_ber, run_sweep)
+                             reproduce_scenario_b, run_ber, run_sweep, scenario_b_config)
 
 PINNED = {
     "scenario_a_ber.csv":
@@ -163,3 +168,16 @@ def test_los_sweep_matches_the_pinned_hash(tmp_path):
     emit_table(tables["sweep"], tmp_path / "sweep.csv")
     assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == \
         PINNED_LOS_SWEEP
+
+
+PINNED_PRUNED_SWEEP = "47a989ef63dec34b73dbfa25b3341235587b214dd6f163778fec686623992ab9"
+
+
+def test_sweep_that_prunes_k_eff_matches_the_pinned_hash(tmp_path):
+    config = dataclasses.replace(scenario_b_config(trials=500), keff_delta_frac=2.0)
+    table = run_sweep(config)["sweep"]
+    assert [(row[0], row[2], row[3]) for row in table.rows] == [
+        ("element", 8, 6), ("group:2x2", 8, 3), ("block:4x4", 4, 1)]
+    emit_table(table, tmp_path / "sweep.csv")
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == \
+        PINNED_PRUNED_SWEEP

@@ -219,10 +219,6 @@ def _centroid_distances(part: UnitPartition) -> np.ndarray:
     return np.sqrt((diff ** 2).sum(axis=-1))
 
 
-def _spacing_ok(unit_tuple, bad_pairs: np.ndarray | None) -> bool:
-    return bad_pairs is None or not bad_pairs[np.ix_(unit_tuple, unit_tuple)].any()
-
-
 def enumerate_candidates(
     part: UnitPartition,
     n_act: int,
@@ -291,9 +287,14 @@ def enumerate_candidates(
         attempts = 0
         while len(found) < m_samples and attempts < budget:
             attempts += 1
-            draw = tuple(sorted(rng.choice(part.unit_count, size=n_units, replace=False).tolist()))
-            if draw not in found and _spacing_ok(draw, bad_pairs):
-                found.add(draw)
+            draw = rng.choice(part.unit_count, size=n_units, replace=False)
+            draw.sort()
+            key = tuple(draw.tolist())
+            # Adding a repeated draw to the set is a no-op, so only a spacing
+            # rule needs a test first.
+            if bad_pairs is None or (key not in found
+                                     and not bad_pairs[np.ix_(draw, draw)].any()):
+                found.add(key)
         if not found:
             raise InfeasibleConstraintError(
                 f"min_unit_spacing={min_unit_spacing} rejected every one of "

@@ -65,8 +65,11 @@ def evaluate_mode(config: ExperimentConfig, candidates: CandidateSet,
     ``design_map``, ``truth`` (None when uncalibrated) and ``distances`` are
     the design of ``candidates``. The codebook size is capped at the candidate
     count, and the pruning threshold is ``keff_delta_frac`` times the median
-    pairwise response distance. Every seed varies the error-rate estimation
-    noise. A pool with fewer than two candidates raises
+    pairwise response distance. The median is taken only when the
+    farthest-pair bound could prune: while ``keff_delta_frac`` times the
+    pool's largest distance does not exceed the codebook's d_min, K_eff is K
+    without the pool's M (M - 1) / 2 distances. Every seed varies the
+    error-rate estimation noise. A pool with fewer than two candidates raises
     InfeasibleConstraintError.
     """
     part = candidates.partition
@@ -76,9 +79,14 @@ def evaluate_mode(config: ExperimentConfig, candidates: CandidateSet,
             f"mode {part.mode.label} yields {len(candidates)} candidate(s); "
             f"a codebook needs at least 2")
     codebook = select_maxmin_greedy(distances, k)
-    # The triangle is a fresh array, so the median may reorder it in place.
-    median = float(np.median(distances.upper_triangle(), overwrite_input=True))
-    delta = config.keff_delta_frac * median
+    # Greedy starts from the pool's farthest pair, whose distance D is at
+    # least the median, so keff_delta_frac * D is at least the median
+    # threshold. While it is no larger than d_min, neither prunes a member.
+    delta = config.keff_delta_frac * float(distances.block(codebook.members[:2])[0, 1])
+    if delta > codebook.d_min:
+        # The triangle is a fresh array, so the median may reorder it in place.
+        median = float(np.median(distances.upper_triangle(), overwrite_input=True))
+        delta = config.keff_delta_frac * median
     k_eff = effective_size(codebook, distances, delta)
     oh = overhead_fraction(part, k, config)
 

@@ -244,6 +244,21 @@ def test_greedy_seed_pair_is_the_first_upper_triangle_maximum(seed):
     assert cb.members[:2] == _masked_greedy_pair(values)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_greedy_starts_from_the_views_farthest_pair(seed):
+    # evaluate_mode bounds the median distance by the distance between
+    # greedy's first two members, which must be the pool's largest.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 300))
+    r = 1 + seed % 4
+    for values in (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)),
+                   rng.integers(0, 3, (m, r)).astype(complex)):
+        distances = pairwise_distances(_map_of(values))
+        members = select_maxmin_greedy(distances, min(m, 8)).members
+        assert members[:2] == distances.farthest_pair()
+        assert distances.block(members[:2])[0, 1] == distances.upper_triangle().max()
+
+
 def _assert_view_matches_values(values: np.ndarray) -> None:
     """Every read of the on-demand view equals the same read of the full
     matrix that ``values`` builds, bit for bit and in the same order."""

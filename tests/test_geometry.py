@@ -149,6 +149,44 @@ def test_enumerate_warns_when_rejection_sampling_falls_short():
     assert set(_element_sets(cands)) == feasible
 
 
+def _draw_by_draw(part, n_units, m_samples, min_unit_spacing, seed):
+    """The rejection sampler written out one draw at a time: each draw is
+    sorted into a tuple and kept if it is new and meets the spacing rule.
+    Returns the kept tuples in order and the attempts spent."""
+    pos = part.grid.positions[part.elements[:, 0]]
+    bad = np.hypot(*(pos[:, None] - pos[None, :]).transpose(2, 0, 1)) < min_unit_spacing
+    np.fill_diagonal(bad, False)
+    rng = np.random.default_rng(seed)
+    found, attempts = set(), 0
+    while len(found) < m_samples and attempts < max(10_000, 200 * m_samples):
+        attempts += 1
+        draw = tuple(sorted(rng.choice(part.unit_count, size=n_units, replace=False).tolist()))
+        if draw not in found and not bad[np.ix_(draw, draw)].any():
+            found.add(draw)
+    return sorted(found), attempts
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_act, spacing", [(4, 0.0), (8, 0.0), (4, 0.6), (8, 0.6)])
+def test_rejection_sampler_keeps_the_draw_by_draw_stream(seed, n_act, spacing):
+    part = partition(build_grid(8, 8, 0.5), GranularityMode.element())
+    expect, _ = _draw_by_draw(part, n_act, 40, spacing, seed)
+    cands = enumerate_candidates(part, n_act, 40, spacing, seed=seed)
+    assert [tuple(row) for row in cands.units.tolist()] == expect
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_rejection_sampler_shortfall_keeps_the_draw_by_draw_stream(seed):
+    # Fourteen of 64 elements with no two adjacent: 10 000 attempts find
+    # fewer than 40 such layouts.
+    part = partition(build_grid(8, 8, 0.5), GranularityMode.element())
+    expect, attempts = _draw_by_draw(part, 14, 40, 0.6, seed)
+    assert attempts == 10_000 and len(expect) < 40
+    with pytest.warns(UserWarning, match=f"found {len(expect)} in 10000 attempts"):
+        cands = enumerate_candidates(part, 14, 40, 0.6, seed=seed)
+    assert [tuple(row) for row in cands.units.tolist()] == expect
+
+
 def test_enumerate_is_deterministic():
     part = partition(build_grid(8, 8, 0.5), GranularityMode.element())
     a = enumerate_candidates(part, 16, 64, 0.0, seed=7)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from frisim import pipeline
 from frisim.channel import (MapProvenance, ResponseMap, build_design_maps, coupling_matrix,
                             draw_channel)
-from frisim.codebook import pairwise_distances
+from frisim.codebook import effective_size, pairwise_distances, select_maxmin_greedy
 from frisim.config import ConfigError, ExperimentConfig, channel_params
 from frisim.geometry import (GranularityMode, InfeasibleConstraintError, build_grid,
                              enumerate_candidates, partition)
@@ -147,6 +148,60 @@ def test_evaluate_mode_on_a_hand_built_design_equals_the_sweep_row():
         assert rows[mode_index] == (rep.mode.label, rep.unit_count, rep.k, rep.k_eff,
                                     rep.raw_bits, rep.overhead_fraction, rep.p_e,
                                     rep.net_bits)
+
+
+def _count_medians(distances, counts, key):
+    """Make ``distances.upper_triangle`` count its calls in ``counts[key]``."""
+    original = distances.upper_triangle
+
+    def upper_triangle():
+        counts[key] = counts.get(key, 0) + 1
+        return original()
+    distances.upper_triangle = upper_triangle
+
+
+def test_k_eff_equals_pruning_at_the_median_threshold():
+    # evaluate_mode skips the median when the farthest-pair bound cannot
+    # prune; K_eff must equal pruning at frac * median on either branch.
+    # The integer maps tie distances and repeat rows, so d_min is often 0.
+    config = _config(GranularityMode.group(2, 2), m_samples=64, trials=20, seeds=(1,))
+    candidates = _designed_pool(config, 0)[0]
+    m = len(candidates)
+    rng = np.random.default_rng(23)
+    branches = {True: 0, False: 0}
+    for _ in range(4):
+        for values in (rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3)),
+                       rng.integers(0, 3, (m, 2)) + 1j * rng.integers(0, 2, (m, 2))):
+            design_map = ResponseMap(values=values.astype(complex),
+                                     provenance=MapProvenance(0, 0.0, "none"))
+            distances = pairwise_distances(design_map)
+            codebook = select_maxmin_greedy(distances, config.k)
+            median = float(np.median(distances.upper_triangle()))
+            counts = {"median": 0}
+            _count_medians(distances, counts, "median")
+            for frac in (0.0, 0.1, 0.5, 2.0, 5.0):
+                before = counts["median"]
+                report = evaluate_mode(replace(config, keff_delta_frac=frac), candidates,
+                                       design_map, None, distances)
+                assert report.k_eff == effective_size(codebook, distances, frac * median)
+                branches[counts["median"] > before] += 1
+    assert branches[True] and branches[False]
+
+
+def test_scenario_b_takes_no_median_for_the_large_pools(monkeypatch):
+    # The farthest-pair bound settles K_eff for the 512-candidate pools, so
+    # their M (M - 1) / 2 distances are never computed.
+    counts = {}
+
+    def spying(config, candidates, design_map, truth, distances):
+        _count_medians(distances, counts, candidates.partition.mode.label)
+        return evaluate_mode(config, candidates, design_map, truth, distances)
+
+    monkeypatch.setattr(pipeline, "evaluate_mode", spying)
+    rows = run_sweep(pipeline.scenario_b_config(base_seed=7, trials=500))["sweep"].rows
+    assert [(row[0], row[2], row[3]) for row in rows] == [
+        ("element", 8, 8), ("group:2x2", 8, 8), ("block:4x4", 4, 4)]
+    assert set(counts) <= {"block:4x4"}
 
 
 def test_sweep_draws_one_channel_and_one_coupling(monkeypatch):

@@ -32,15 +32,21 @@ four modes that share one channel realization.
 Scenario B at ``keff_delta_frac`` 2.0 pins the K_eff pruning itself: every
 other pin keeps K_eff = K, while this one prunes to 6, 3 and 1 of 8, 8 and 4
 members, so its threshold is the pool's median response distance.
+
+A layout_maxmin study on a 4x5 grid pins the farthest layout pair of a
+250-candidate pool in which no pair reaches the most two layouts can differ
+by, so the pair is only known once the whole upper triangle is read.
 """
 
 import dataclasses
 import hashlib
 
+from frisim.codebook import layout_distances
 from frisim.config import ExperimentConfig
-from frisim.geometry import GranularityMode
+from frisim.geometry import GranularityMode, build_grid, enumerate_candidates, partition
 from frisim.pipeline import (design_artifacts, emit_table, reproduce_scenario_a,
                              reproduce_scenario_b, run_ber, run_sweep, scenario_b_config)
+from frisim.seeding import TAG_CANDIDATES, derive_seed
 
 PINNED = {
     "scenario_a_ber.csv":
@@ -181,3 +187,32 @@ def test_sweep_that_prunes_k_eff_matches_the_pinned_hash(tmp_path):
     emit_table(table, tmp_path / "sweep.csv")
     assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == \
         PINNED_PRUNED_SWEEP
+
+
+# Every pair of this pool differs in fewer than 20 of its 20 elements, the
+# most two 10-element layouts can, so layout_maxmin's farthest pair comes from
+# a scan of the whole upper triangle (250 candidates make two row blocks).
+FULL_SCAN_LAYOUT_BER = ExperimentConfig(
+    grid_rows=4, grid_cols=5, n_act=10, m_samples=250, estimation_error_var=0.02,
+    methods=("layout_maxmin", "response_maxmin_greedy"), k=8,
+    snr_db=(0.0, 5.0, 10.0), trials=300, seeds=(3, 4))
+
+PINNED_FULL_SCAN_LAYOUT_BER = {
+    "ber_per_seed.csv": "1ed875ed2b886597a444dca3443862520e772fb6e3976e3e62426a17ac979dc4",
+    "ber_aggregate.csv": "ae4052a00c8d3a189935efaba13794547b947e49ba0582f5a0d6d13d4b1d57d4",
+    "codebooks.csv": "4eee624c2a5afeefd24500e4e3e1933f3878e2bc2dec56cc6698d92344d8f464",
+}
+
+
+def test_layout_ber_whose_pool_has_no_pair_at_the_bound_matches_the_pinned_hashes(
+        tmp_path):
+    config = FULL_SCAN_LAYOUT_BER
+    candidates = enumerate_candidates(
+        partition(build_grid(4, 5, 0.5), GranularityMode.element()), 10, 250, None,
+        seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, 0))
+    assert layout_distances(candidates).values.max() < 20
+    for name, table in run_ber(config).items():
+        emit_table(table, tmp_path / f"{name}.csv")
+    actual = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in tmp_path.glob("*.csv")}
+    assert actual == PINNED_FULL_SCAN_LAYOUT_BER

@@ -37,8 +37,8 @@ class DistanceMatrix:
 
     Selectors read it through ``rows``, ``block``, ``farthest_pair`` and
     ``upper_triangle``; this class answers them from the (M, M) ``values``
-    array it holds. ``pairwise_distances`` returns a view that computes them
-    on demand instead.
+    array it holds. ``pairwise_distances`` and ``layout_distances`` return
+    views that compute them on demand instead.
     """
 
     def __init__(self, values: np.ndarray, domain_tag: str) -> None:
@@ -73,12 +73,18 @@ class DistanceMatrix:
         maximum of the whole matrix lies in the strict upper triangle unless
         every entry is zero; that matrix gives the pair (0, 1).
         """
+        _require_pair(self.size)
         first, second = divmod(int(np.argmax(self._values)), self.size)
         return (0, 1) if first == second else (first, second)
 
     def upper_triangle(self) -> np.ndarray:
         """Strict upper triangle in row-major order, as a new array."""
         return self._values[np.triu_indices(self.size, k=1)]
+
+
+def _require_pair(m: int) -> None:
+    if m < 2:
+        raise ValueError(f"a farthest pair needs 2 candidates, got {m}")
 
 
 @dataclass(frozen=True)
@@ -116,16 +122,63 @@ def _row_blocks(rows: int, width: int):
         yield start, min(rows, start + chunk)
 
 
-def _symmetric_from_row_blocks(m: int, block, dtype) -> np.ndarray:
-    """(m, m) ``dtype`` matrix from its upper triangle: ``block(start, stop)``
-    gives rows start:stop against columns start:, and each block is mirrored
-    below the diagonal, so the work stays close to half of the matrix."""
-    out = np.empty((m, m), dtype=dtype)
-    for start, stop in _row_blocks(m, m):
-        values = block(start, stop)
-        out[start:stop, start:] = values
-        out[start:, start:stop] = values.T
-    return out
+class _DistanceView(DistanceMatrix):
+    """Distances computed on demand by a per-domain pair kernel.
+
+    ``_pairs(left, right)`` gives the ``dtype`` distances between the
+    candidates two index expressions select, broadcast against each other.
+    Rows and blocks cost one kernel call each and the upper triangle is read
+    in row blocks; only ``values`` builds (and keeps) the full (M, M)
+    matrix, mirroring each upper row block below the diagonal so the work
+    stays close to half of the matrix.
+    """
+
+    def __init__(self, size: int, domain_tag: str, dtype) -> None:
+        self._size = size
+        self._dtype = dtype
+        self._values = None
+        self.domain_tag = domain_tag
+
+    def _pairs(self, left, right) -> np.ndarray:
+        raise NotImplementedError
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            m = self.size
+            out = np.empty((m, m), dtype=self._dtype)
+            for start, stop in _row_blocks(m, m):
+                block = self._upper_block(start, stop)
+                out[start:stop, start:] = block
+                out[start:, start:stop] = block.T
+            self._values = out
+        return self._values
+
+    @property
+    def size(self) -> int:
+        return self._size
+
+    def _upper_block(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop against columns start:."""
+        return self._pairs((slice(start, stop), None), (None, slice(start, None)))
+
+    def rows(self, ids) -> np.ndarray:
+        return self._pairs((np.asarray(ids, dtype=np.intp), None), (None, slice(None)))
+
+    def block(self, ids) -> np.ndarray:
+        idx = np.asarray(ids, dtype=np.intp)
+        return self._pairs((idx, None), (None, idx))
+
+    def upper_triangle(self) -> np.ndarray:
+        m = self.size
+        out = np.empty(m * (m - 1) // 2, dtype=self._dtype)
+        pos = 0
+        for start, stop in _row_blocks(m, m):
+            keep = np.arange(m - start)[None, :] > np.arange(stop - start)[:, None]
+            part = self._upper_block(start, stop)[keep]
+            out[pos:pos + part.size] = part
+            pos += part.size
+        return out
 
 
 def _antenna_sum(re: np.ndarray, im: np.ndarray, left, right) -> np.ndarray:
@@ -152,59 +205,22 @@ def _antenna_sum(re: np.ndarray, im: np.ndarray, left, right) -> np.ndarray:
 _PRUNE_SLACK = 1.0 + 1e-9
 
 
-class _ResponseDistances(DistanceMatrix):
-    """Response distances of a map, computed on demand from its rows.
-
-    Rows, blocks, the farthest pair and the upper triangle cost O(M R) each,
-    or O(M^2 R) for the triangle in row blocks; only ``values`` builds (and
-    keeps) the full (M, M) matrix.
-    """
+class _ResponseDistances(_DistanceView):
+    """Response distances of a map, computed on demand from its rows: O(M R)
+    a row, and a norm-pruned scan for the farthest pair."""
 
     def __init__(self, response_map: ResponseMap) -> None:
         values = response_map.values
         self._re = np.ascontiguousarray(values.real.T)
         self._im = np.ascontiguousarray(values.imag.T)
-        self._values = None
-        self.domain_tag = DOMAIN_RESPONSE
+        super().__init__(values.shape[0], DOMAIN_RESPONSE, np.float64)
 
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = _symmetric_from_row_blocks(self.size, self._upper_block,
-                                                      np.float64)
-        return self._values
-
-    @property
-    def size(self) -> int:
-        return self._re.shape[1]
-
-    def _upper_block(self, start: int, stop: int) -> np.ndarray:
-        return _antenna_sum(self._re, self._im, (slice(start, stop), None),
-                            (None, slice(start, None)))
-
-    def rows(self, ids) -> np.ndarray:
-        return _antenna_sum(self._re, self._im, (np.asarray(ids, dtype=np.intp), None),
-                            (None, slice(None)))
-
-    def block(self, ids) -> np.ndarray:
-        idx = np.asarray(ids, dtype=np.intp)
-        return _antenna_sum(self._re, self._im, (idx, None), (None, idx))
-
-    def upper_triangle(self) -> np.ndarray:
-        m = self.size
-        out = np.empty(m * (m - 1) // 2)
-        pos = 0
-        for start, stop in _row_blocks(m, m):
-            keep = np.arange(m - start)[None, :] > np.arange(stop - start)[:, None]
-            part = self._upper_block(start, stop)[keep]
-            out[pos:pos + part.size] = part
-            pos += part.size
-        return out
+    def _pairs(self, left, right) -> np.ndarray:
+        return _antenna_sum(self._re, self._im, left, right)
 
     def farthest_pair(self) -> tuple[int, int]:
         m = self.size
-        if m < 2:
-            raise ValueError(f"a farthest pair needs 2 candidates, got {m}")
+        _require_pair(m)
         re, im = self._re, self._im
         # Exactness of the pruning. For any centre c the triangle inequality
         # gives d(i, j) <= (n_i + n_j)^2, with n the norms about c; c is the
@@ -236,7 +252,7 @@ class _ResponseDistances(DistanceMatrix):
             if not i.size:
                 continue
             i = rows[i]
-            d = _antenna_sum(re, im, i, j)
+            d = self._pairs(i, j)
             top = int(np.argmax(d))
             if d[top] > found:
                 pair, found = (int(i[top]), int(j[top])), float(d[top])
@@ -260,30 +276,78 @@ def pairwise_distances(response_map: ResponseMap) -> DistanceMatrix:
     return _ResponseDistances(response_map)
 
 
-# Set bits of every byte value, for popcounts of packed masks.
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# Set bits of every 16-bit word, for popcounts of packed masks: word
+# 256 * hi + lo holds the bits of the bytes hi and lo.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_POPCOUNT = (_BYTE_BITS[:, None] + _BYTE_BITS[None, :]).ravel()
+
+
+class _LayoutDistances(_DistanceView):
+    """Layout distances of a candidate set, computed on demand from its
+    bit-packed masks. The farthest pair is kept once found, because a run
+    reuses one pool for every seed."""
+
+    def __init__(self, candidates: CandidateSet) -> None:
+        n = candidates.grid.n_elements
+        packed = np.packbits(candidates.masks() != 0, axis=1)
+        packed = np.pad(packed, ((0, 0), (0, packed.shape[1] % 2)))
+        # Row w holds mask word w of every candidate.
+        self._words = np.ascontiguousarray(packed.view(np.uint16).T)
+        active = candidates.units.shape[1] * candidates.partition.unit_size
+        self._bound = min(2 * active, 2 * (n - active))
+        self._pair: tuple[int, int] | None = None
+        super().__init__(len(candidates), DOMAIN_LAYOUT, np.min_scalar_type(n))
+
+    def _pairs(self, left, right) -> np.ndarray:
+        count = None
+        for word in self._words:
+            bits = _POPCOUNT.take(word[left] ^ word[right])
+            if count is None:
+                count = bits.astype(self._dtype, copy=False)
+            else:
+                count += bits
+        return count
+
+    def farthest_pair(self) -> tuple[int, int]:
+        if self._pair is None:
+            m = self.size
+            _require_pair(m)
+            pair, found = (0, 1), 0
+            for start, stop in _row_blocks(m, m):
+                # A block holds, one row earlier, the mirror of every entry
+                # below its diagonal, so its first maximum lies in the strict
+                # upper triangle unless the block is all zero.
+                d = self._upper_block(start, stop)
+                top = int(np.argmax(d))
+                if d.flat[top] > found:
+                    row, col = divmod(top, m - start)
+                    pair, found = (start + row, start + col), int(d.flat[top])
+                    if found >= self._bound:
+                        break
+            self._pair = pair
+        return self._pair
 
 
 def layout_distances(candidates: CandidateSet) -> DistanceMatrix:
-    """All-pairs symmetric-difference cardinalities between candidate layouts.
+    """Symmetric-difference cardinalities between candidate layouts, as a
+    view that computes the rows, blocks, farthest pair or upper triangle a
+    caller reads; ``values`` builds the full (M, M) matrix.
 
-    Counted exactly as popcounts of XORed bit-packed masks, one mask byte at a
-    time. An integer matmul is several times slower, and a float one runs
-    multi-threaded BLAS for a product this size. A count never exceeds the
-    grid's element count, so the matrix holds the smallest unsigned type that
-    fits it (uint8 up to 255 elements).
+    Counted exactly as popcounts of XORed bit-packed masks, one 16-bit mask
+    word at a time through a 64 KiB table. An integer matmul is several
+    times slower, and a float one runs multi-threaded BLAS for a product
+    this size. A count never exceeds the grid's element count, so every read
+    holds the smallest unsigned type that fits it (uint8 up to 255 elements).
+
+    Every candidate of a set activates the same a of the grid's N elements,
+    so two layouts differ in at most min(2a, 2(N - a)) of them.
+    ``farthest_pair`` scans the upper triangle in row-major order and stops
+    at the first pair that reaches this bound: a later pair could only tie,
+    and ties go to the row-major first, so the pair is exact. It reads the
+    whole triangle only when no pair reaches the bound, and it is computed
+    once per view.
     """
-    packed = np.ascontiguousarray(np.packbits(candidates.masks() != 0, axis=1).T)
-    dtype = np.min_scalar_type(candidates.grid.n_elements)
-
-    def block(start: int, stop: int) -> np.ndarray:
-        count = np.zeros((stop - start, len(candidates) - start), dtype=dtype)
-        for byte in packed:
-            count += _POPCOUNT.take(byte[start:stop, None] ^ byte[None, start:])
-        return count
-
-    out = _symmetric_from_row_blocks(len(candidates), block, dtype)
-    return DistanceMatrix(values=out, domain_tag=DOMAIN_LAYOUT)
+    return _LayoutDistances(candidates)
 
 
 def subset_d_min(values: np.ndarray, members) -> float:

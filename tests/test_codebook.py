@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from frisim.codebook import (Codebook, DistanceMatrix, effective_size,
                              save_codebook, select_codebook, select_layout_maxmin,
                              select_maxmin_exact, select_maxmin_greedy,
                              select_random, subset_d_min)
-from frisim.geometry import (GranularityMode, InfeasibleConstraintError, build_grid,
-                             enumerate_candidates, layout_distance, partition)
+from frisim.geometry import (CandidateSet, GranularityMode, InfeasibleConstraintError,
+                             build_grid, enumerate_candidates, layout_distance,
+                             partition)
 
 
 def _map_of(values) -> ResponseMap:
@@ -162,6 +164,122 @@ def test_layout_greedy_on_integer_counts_matches_a_float64_copy():
         codebook = select_layout_maxmin(DistanceMatrix(values, "layout"),
                                         _scalar_distances(np.arange(5)), 4)
         assert codebook.members == (0, 1, 2, 3)
+
+
+def _element_pool(rows: int, cols: int, layouts) -> CandidateSet:
+    """Element-mode candidate set whose candidates activate ``layouts``."""
+    part = partition(build_grid(rows, cols, 0.5), GranularityMode.element())
+    units = np.array(sorted(sorted(layout) for layout in layouts), dtype=np.intp)
+    return CandidateSet(partition=part, units=units, seed=0, min_unit_spacing=0.0)
+
+
+def _assert_layout_view_matches_popcounts(cands: CandidateSet) -> None:
+    """Every read of a fresh layout view equals the same read of the eager
+    popcount matrix, in the smallest unsigned type that holds the grid."""
+    masks = cands.masks() != 0
+    full = (masks[:, None, :] != masks[None, :, :]).sum(axis=-1)
+    dtype = np.min_scalar_type(cands.grid.n_elements)
+    m = len(cands)
+    assert layout_distances(cands).farthest_pair() == _masked_greedy_pair(full.astype(float))
+    ids = [m - 1, 0, m // 2, m - 1]
+    for read, expected in (
+            (lambda view: view.upper_triangle(), full[np.triu_indices(m, k=1)]),
+            (lambda view: view.rows(ids), full[ids]),
+            (lambda view: view.block(ids), full[np.ix_(ids, ids)]),
+            (lambda view: view.values, full)):
+        got = read(layout_distances(cands))
+        assert got.dtype == dtype
+        assert np.array_equal(got, expected)
+
+
+@st.composite
+def _layout_pools(draw):
+    """Element pools on grids of 2 to 35 elements, mostly not a whole number
+    of mask bytes. Small grids give many tied maxima; with ``shared`` every
+    layout keeps element 0, so no two layouts are disjoint."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(2, 7))
+    n = rows * cols
+    shared = n >= 3 and draw(st.booleans())
+    active = draw(st.integers(1 + shared, n - 1))
+    rest = st.frozensets(st.integers(int(shared), n - 1), min_size=active - shared,
+                         max_size=active - shared)
+    layouts = draw(st.sets(rest, min_size=2, max_size=60))
+    return _element_pool(rows, cols, [layout | ({0} if shared else set())
+                                      for layout in layouts])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layout_pools())
+def test_layout_view_reads_equal_the_eager_popcount_matrix(cands):
+    _assert_layout_view_matches_popcounts(cands)
+    pair = CandidateSet(partition=cands.partition, units=cands.units[:2], seed=0,
+                        min_unit_spacing=0.0)
+    _assert_layout_view_matches_popcounts(pair)
+
+
+# 700 candidates take 46 rows per block of 2**15 entries. Layouts of 8 of 16
+# elements reach the bound 16 only as complements, and the member of such a
+# pair with element 0 sorts first. With no fixed element a complementary pair
+# starts in the first block. When every layout keeps element 0 none is
+# complementary, so the pair comes from a full scan. When every layout but
+# the last two keeps elements 0 and 1, the first block only reaches 14 and
+# the one complementary pair is the last two candidates.
+@pytest.mark.parametrize("fixed, best, pair", [
+    (set(), 16, None), ({0}, 14, None), ({0, 1}, 16, (698, 699))])
+def test_layout_view_reads_equal_the_eager_popcount_matrix_across_row_blocks(
+        fixed, best, pair):
+    rng = np.random.default_rng(6)
+    free = np.setdiff1d(np.arange(16), list(fixed))
+    layouts = set()
+    while len(layouts) < (698 if pair else 700):
+        chosen = rng.choice(free, 8 - len(fixed), replace=False)
+        layouts.add(frozenset(chosen.tolist()) | fixed)
+    if pair:
+        layouts |= {frozenset({0, *range(2, 9)}), frozenset({1, *range(9, 16)})}
+    cands = _element_pool(4, 4, layouts)
+    assert layout_distances(cands).values.max() == best
+    if pair:
+        assert layout_distances(cands).farthest_pair() == pair
+    _assert_layout_view_matches_popcounts(cands)
+
+
+def _layout_pool_of_1024(n_act: int) -> CandidateSet:
+    part = partition(build_grid(8, 8, 0.5), GranularityMode.element())
+    cands = enumerate_candidates(part, n_act, 1024, 0.0, seed=3)
+    assert len(cands) == 1024
+    return cands
+
+
+# At 16 of 64 elements a disjoint pair reaches the bound in the first row
+# block; at 32 no pair is complementary, so the farthest pair needs a full scan.
+@pytest.mark.parametrize("n_act", [16, 32])
+def test_layout_selection_never_reads_the_full_matrix(monkeypatch, n_act):
+    cands = _layout_pool_of_1024(n_act)
+    full = layout_distances(cands).values
+    assert (full.max() == 32) if n_act == 16 else (full.max() < 64)
+    expected = select_layout_maxmin(DistanceMatrix(full, "layout"),
+                                    _scalar_distances(np.arange(1024.0)), 8)
+    layout = layout_distances(cands)
+
+    def no_values(self):
+        raise AssertionError("select_layout_maxmin read the full layout matrix")
+
+    monkeypatch.setattr(type(layout), "values", property(no_values))
+    assert select_layout_maxmin(layout, _scalar_distances(np.arange(1024.0)), 8) == expected
+
+
+@pytest.mark.parametrize("n_act", [16, 32])
+def test_layout_selection_peaks_below_the_full_matrix(n_act):
+    cands = _layout_pool_of_1024(n_act)
+    cands.masks()
+    response = _scalar_distances(np.arange(1024.0))
+    tracemalloc.start()
+    try:
+        select_layout_maxmin(layout_distances(cands), response, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def _scalar_line_distances() -> tuple[DistanceMatrix, DistanceMatrix]:
@@ -332,8 +450,14 @@ def test_array_distance_matrix_answers_the_same_reads():
 
 
 def test_farthest_pair_needs_two_candidates():
-    with pytest.raises(ValueError, match="2 candidates"):
-        pairwise_distances(_map_of([[1 + 2j]])).farthest_pair()
+    part = partition(build_grid(2, 2, 0.5), GranularityMode.element())
+    single = enumerate_candidates(part, 2, 1, 0.0, seed=0)
+    assert len(single) == 1
+    for distances in (DistanceMatrix(np.zeros((1, 1)), "response"),
+                      pairwise_distances(_map_of([[1 + 2j]])),
+                      layout_distances(single)):
+        with pytest.raises(ValueError, match="a farthest pair needs 2 candidates, got 1"):
+            distances.farthest_pair()
 
 
 def test_greedy_on_an_all_zero_matrix_starts_from_the_first_pair():

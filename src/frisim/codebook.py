@@ -35,11 +35,21 @@ EXACT_SUBSET_LIMIT = 10_000_000
 class DistanceMatrix:
     """Symmetric nonnegative pairwise metric over candidate ids 0..M-1.
 
-    Selectors read it through ``rows``, ``block``, ``farthest_pair`` and
-    ``upper_triangle``; this class answers them from the (M, M) ``values``
-    array it holds. ``pairwise_distances`` and ``layout_distances`` return
-    views that compute them on demand instead.
+    Every read goes through one kernel, ``_pairs(left, right)``: the
+    distances between the candidates two broadcasting ``intp`` index arrays
+    select. Here it indexes the (M, M) ``values`` array given; the views of
+    ``pairwise_distances`` and ``layout_distances`` compute it per domain.
+    ``rows`` and ``block`` cost one kernel call each, the upper triangle and
+    the ``_ceiling``-bounded farthest-pair scan are read in row blocks, and
+    only ``values`` builds (and keeps) a view's full matrix, mirroring each
+    upper row block below the diagonal so the work stays close to half.
     """
+
+    # No pair is farther apart than this, so farthest_pair stops at the first
+    # pair that reaches it. A domain whose input bounds its distances sets it.
+    _ceiling = np.inf
+    _pair: tuple[int, int] | None = None
+    _values: np.ndarray | None = None
 
     def __init__(self, values: np.ndarray, domain_tag: str) -> None:
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -47,44 +57,87 @@ class DistanceMatrix:
         if domain_tag not in (DOMAIN_RESPONSE, DOMAIN_LAYOUT):
             raise ValueError(f"unknown distance domain {domain_tag!r}")
         self._values = values
+        self._size = values.shape[0]
+        self._dtype = values.dtype
         self.domain_tag = domain_tag
+
+    def _pairs(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return self._values[left, right]
 
     @property
     def values(self) -> np.ndarray:
+        if self._values is None:
+            m = self.size
+            out = np.empty((m, m), dtype=self._dtype)
+            for start, stop in _row_blocks(m, m):
+                block = self._pairs(np.arange(start, stop)[:, None], np.arange(start, m))
+                out[start:stop, start:] = block
+                out[start:, start:stop] = block.T
+            self._values = out
         return self._values
 
     @property
     def size(self) -> int:
-        return self._values.shape[0]
+        return self._size
 
     def rows(self, ids) -> np.ndarray:
         """(len(ids), M) distances from each candidate in ``ids`` to all."""
-        return self._values[list(ids)]
+        return self._pairs(np.asarray(ids, dtype=np.intp)[:, None], np.arange(self.size))
 
     def block(self, ids) -> np.ndarray:
         """(K, K) distances among the candidates ``ids``, in their order."""
-        idx = list(ids)
-        return self._values[np.ix_(idx, idx)]
-
-    def farthest_pair(self) -> tuple[int, int]:
-        """First row-major maximum of the strict upper triangle.
-
-        ``values`` is symmetric with a zero diagonal, so the first row-major
-        maximum of the whole matrix lies in the strict upper triangle unless
-        every entry is zero; that matrix gives the pair (0, 1).
-        """
-        _require_pair(self.size)
-        first, second = divmod(int(np.argmax(self._values)), self.size)
-        return (0, 1) if first == second else (first, second)
+        idx = np.asarray(ids, dtype=np.intp)
+        return self._pairs(idx[:, None], idx)
 
     def upper_triangle(self) -> np.ndarray:
         """Strict upper triangle in row-major order, as a new array."""
-        return self._values[np.triu_indices(self.size, k=1)]
+        m = self.size
+        out = np.empty(m * (m - 1) // 2, dtype=self._dtype)
+        pos = 0
+        for start, stop in _row_blocks(m, m):
+            keep = np.arange(m - start)[None, :] > np.arange(stop - start)[:, None]
+            part = self._pairs(np.arange(start, stop)[:, None], np.arange(start, m))[keep]
+            out[pos:pos + part.size] = part
+            pos += part.size
+        return out
+
+    def farthest_pair(self) -> tuple[int, int]:
+        """First row-major maximum of the strict upper triangle, or (0, 1)
+        when every entry is zero; computed once and kept.
+
+        Rows start:stop are read against columns start: one row block at a
+        time. A block holds, one row earlier, the mirror of every entry below
+        its diagonal, so its first maximum lies in the strict upper triangle
+        unless the block is all zero. The scan stops at the first pair that
+        reaches ``_ceiling``: a later pair could only tie it.
+        """
+        if self._pair is None:
+            m = self.size
+            _require_pair(m)
+            pair, found = (0, 1), 0
+            for start, stop in _row_blocks(m, m):
+                d = self._pairs(np.arange(start, stop)[:, None], np.arange(start, m))
+                top = int(np.argmax(d))
+                if d.flat[top] > found:
+                    row, col = divmod(top, m - start)
+                    pair, found = (start + row, start + col), d.flat[top]
+                    if found >= self._ceiling:
+                        break
+            self._pair = pair
+        return self._pair
 
 
 def _require_pair(m: int) -> None:
     if m < 2:
         raise ValueError(f"a farthest pair needs 2 candidates, got {m}")
+
+
+def _row_blocks(rows: int, width: int):
+    """(start, stop) blocks of ``rows`` rows ``width`` entries long, about
+    2^15 entries a block, which keeps the temporaries in cache."""
+    chunk = max(1, (1 << 15) // max(1, width))
+    for start in range(0, rows, chunk):
+        yield start, min(rows, start + chunk)
 
 
 @dataclass(frozen=True)
@@ -114,98 +167,11 @@ def response_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(total)
 
 
-def _row_blocks(rows: int, width: int):
-    """(start, stop) blocks of ``rows`` rows ``width`` entries long, about
-    2^15 entries a block, which keeps the temporaries in cache."""
-    chunk = max(1, (1 << 15) // max(1, width))
-    for start in range(0, rows, chunk):
-        yield start, min(rows, start + chunk)
-
-
-class _DistanceView(DistanceMatrix):
-    """Distances computed on demand by a per-domain pair kernel.
-
-    ``_pairs(left, right)`` gives the ``dtype`` distances between the
-    candidates two index expressions select, broadcast against each other.
-    Rows and blocks cost one kernel call each and the upper triangle is read
-    in row blocks; only ``values`` builds (and keeps) the full (M, M)
-    matrix, mirroring each upper row block below the diagonal so the work
-    stays close to half of the matrix.
-    """
-
-    def __init__(self, size: int, domain_tag: str, dtype) -> None:
-        self._size = size
-        self._dtype = dtype
-        self._values = None
-        self.domain_tag = domain_tag
-
-    def _pairs(self, left, right) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            m = self.size
-            out = np.empty((m, m), dtype=self._dtype)
-            for start, stop in _row_blocks(m, m):
-                block = self._upper_block(start, stop)
-                out[start:stop, start:] = block
-                out[start:, start:stop] = block.T
-            self._values = out
-        return self._values
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def _upper_block(self, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop against columns start:."""
-        return self._pairs((slice(start, stop), None), (None, slice(start, None)))
-
-    def rows(self, ids) -> np.ndarray:
-        return self._pairs((np.asarray(ids, dtype=np.intp), None), (None, slice(None)))
-
-    def block(self, ids) -> np.ndarray:
-        idx = np.asarray(ids, dtype=np.intp)
-        return self._pairs((idx, None), (None, idx))
-
-    def upper_triangle(self) -> np.ndarray:
-        m = self.size
-        out = np.empty(m * (m - 1) // 2, dtype=self._dtype)
-        pos = 0
-        for start, stop in _row_blocks(m, m):
-            keep = np.arange(m - start)[None, :] > np.arange(stop - start)[:, None]
-            part = self._upper_block(start, stop)[keep]
-            out[pos:pos + part.size] = part
-            pos += part.size
-        return out
-
-
-def _antenna_sum(re: np.ndarray, im: np.ndarray, left, right) -> np.ndarray:
-    """Response distances between the candidates ``re[t][left]`` and
-    ``re[t][right]`` (index expressions that broadcast), with the
-    per-antenna terms of the (R, M) arrays ``re`` and ``im`` summed in
-    antenna order. Every caller gets the same terms in the same order, so a
-    pair's distance is bit-identical whichever read computes it."""
-    total = None
-    for t in range(re.shape[0]):
-        dr = re[t][left] - re[t][right]
-        di = im[t][left] - im[t][right]
-        dr *= dr
-        di *= di
-        dr += di
-        if total is None:
-            total = dr
-        else:
-            total += dr
-    return total
-
-
 # Relative slack on the norm bound of farthest_pair; see the comment there.
 _PRUNE_SLACK = 1.0 + 1e-9
 
 
-class _ResponseDistances(_DistanceView):
+class _ResponseDistances(DistanceMatrix):
     """Response distances of a map, computed on demand from its rows: O(M R)
     a row, and a norm-pruned scan for the farthest pair."""
 
@@ -213,10 +179,26 @@ class _ResponseDistances(_DistanceView):
         values = response_map.values
         self._re = np.ascontiguousarray(values.real.T)
         self._im = np.ascontiguousarray(values.imag.T)
-        super().__init__(values.shape[0], DOMAIN_RESPONSE, np.float64)
+        self._size = values.shape[0]
+        self._dtype = np.float64
+        self.domain_tag = DOMAIN_RESPONSE
 
-    def _pairs(self, left, right) -> np.ndarray:
-        return _antenna_sum(self._re, self._im, left, right)
+    def _pairs(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        # The per-antenna terms are summed in antenna order. Every read gets
+        # the same terms in the same order, so a pair's distance is
+        # bit-identical whichever read computes it.
+        total = None
+        for re, im in zip(self._re, self._im):
+            dr = re[left] - re[right]
+            di = im[left] - im[right]
+            dr *= dr
+            di *= di
+            dr += di
+            if total is None:
+                total = dr
+            else:
+                total += dr
+        return total
 
     def farthest_pair(self) -> tuple[int, int]:
         m = self.size
@@ -262,9 +244,8 @@ class _ResponseDistances(_DistanceView):
 
 
 def pairwise_distances(response_map: ResponseMap) -> DistanceMatrix:
-    """Response distances of ``response_map``'s candidates, as a view that
-    computes the rows, blocks, farthest pair or upper triangle a caller
-    reads; ``values`` builds the full (M, M) matrix.
+    """Response distances of ``response_map``'s candidates, as a view whose
+    pair kernel works from the map's rows.
 
     Every entry is bit-identical to response_distance on the same rows:
     direct differencing (rather than a Gram-matrix expansion) gives the same
@@ -282,10 +263,9 @@ _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 _POPCOUNT = (_BYTE_BITS[:, None] + _BYTE_BITS[None, :]).ravel()
 
 
-class _LayoutDistances(_DistanceView):
+class _LayoutDistances(DistanceMatrix):
     """Layout distances of a candidate set, computed on demand from its
-    bit-packed masks. The farthest pair is kept once found, because a run
-    reuses one pool for every seed."""
+    bit-packed masks."""
 
     def __init__(self, candidates: CandidateSet) -> None:
         n = candidates.grid.n_elements
@@ -294,11 +274,12 @@ class _LayoutDistances(_DistanceView):
         # Row w holds mask word w of every candidate.
         self._words = np.ascontiguousarray(packed.view(np.uint16).T)
         active = candidates.units.shape[1] * candidates.partition.unit_size
-        self._bound = min(2 * active, 2 * (n - active))
-        self._pair: tuple[int, int] | None = None
-        super().__init__(len(candidates), DOMAIN_LAYOUT, np.min_scalar_type(n))
+        self._ceiling = min(2 * active, 2 * (n - active))
+        self._size = len(candidates)
+        self._dtype = np.min_scalar_type(n)
+        self.domain_tag = DOMAIN_LAYOUT
 
-    def _pairs(self, left, right) -> np.ndarray:
+    def _pairs(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         count = None
         for word in self._words:
             bits = _POPCOUNT.take(word[left] ^ word[right])
@@ -308,30 +289,10 @@ class _LayoutDistances(_DistanceView):
                 count += bits
         return count
 
-    def farthest_pair(self) -> tuple[int, int]:
-        if self._pair is None:
-            m = self.size
-            _require_pair(m)
-            pair, found = (0, 1), 0
-            for start, stop in _row_blocks(m, m):
-                # A block holds, one row earlier, the mirror of every entry
-                # below its diagonal, so its first maximum lies in the strict
-                # upper triangle unless the block is all zero.
-                d = self._upper_block(start, stop)
-                top = int(np.argmax(d))
-                if d.flat[top] > found:
-                    row, col = divmod(top, m - start)
-                    pair, found = (start + row, start + col), int(d.flat[top])
-                    if found >= self._bound:
-                        break
-            self._pair = pair
-        return self._pair
-
 
 def layout_distances(candidates: CandidateSet) -> DistanceMatrix:
     """Symmetric-difference cardinalities between candidate layouts, as a
-    view that computes the rows, blocks, farthest pair or upper triangle a
-    caller reads; ``values`` builds the full (M, M) matrix.
+    view whose pair kernel works from their bit-packed masks.
 
     Counted exactly as popcounts of XORed bit-packed masks, one 16-bit mask
     word at a time through a 64 KiB table. An integer matmul is several
@@ -340,12 +301,10 @@ def layout_distances(candidates: CandidateSet) -> DistanceMatrix:
     holds the smallest unsigned type that fits it (uint8 up to 255 elements).
 
     Every candidate of a set activates the same a of the grid's N elements,
-    so two layouts differ in at most min(2a, 2(N - a)) of them.
-    ``farthest_pair`` scans the upper triangle in row-major order and stops
-    at the first pair that reaches this bound: a later pair could only tie,
-    and ties go to the row-major first, so the pair is exact. It reads the
-    whole triangle only when no pair reaches the bound, and it is computed
-    once per view.
+    so two layouts differ in at most min(2a, 2(N - a)) of them. That bound
+    is the view's ``_ceiling``: ``farthest_pair`` stops at the first pair
+    that reaches it and reads the whole triangle only when none does. The
+    view keeps its pair, since a run reuses one pool for every seed.
     """
     return _LayoutDistances(candidates)
 

@@ -180,10 +180,11 @@ def load_config(path) -> ExperimentConfig:
 def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
     """Return every constraint violation; empty means the config is runnable.
 
-    ``for_ber`` additionally requires each mode's candidate space to hold at
-    least ``k`` configurations, since BER runs do not cap the codebook size,
-    and relaxes ``run.trials`` to >= 0, since a zero-trial BER run still
-    designs codebooks. The sweep needs at least one trial.
+    ``for_ber`` additionally requires each mode's candidate space, and
+    ``m_samples`` unless fixed_ris is the only method, to hold at least ``k``
+    configurations, since BER runs do not cap the codebook size. It relaxes
+    ``run.trials`` to >= 0, since a zero-trial BER run still designs
+    codebooks. The sweep needs at least one trial.
     """
     problems: list[str] = []
     c = config
@@ -228,6 +229,9 @@ def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
         problems.append(f"codebook.methods lists {method} more than once")
     if c.k < 2:
         problems.append(f"codebook.k must be >= 2, got {c.k}")
+    if for_ber and c.m_samples < c.k and set(c.methods) - {METHOD_FIXED_RIS}:
+        problems.append(f"candidates.m_samples must be >= codebook.k={c.k}, "
+                        f"got {c.m_samples}")
     if not c.snr_db:
         problems.append("noise.snr_db must list at least one point")
     for snr in _repeated(c.snr_db):

@@ -243,13 +243,29 @@ def test_infeasible_design_exits_3(capsys, tmp_path, config_file):
 
 
 def test_design_on_a_short_candidate_pool_exits_3(capsys, tmp_path, config_file):
+    # Elements more than half a spacing apart leave only the two checkerboards
+    # of 8 elements, a shortfall that validation cannot foresee.
     path = tmp_path / "short.cfg"
-    path.write_text(SMALL_CONFIG.replace("candidates.m_samples = 40",
-                                         "candidates.m_samples = 2")
+    path.write_text(SMALL_CONFIG.replace("candidates.n_act = 4", "candidates.n_act = 8")
+                    .replace("candidates.min_unit_spacing = 0.0",
+                             "candidates.min_unit_spacing = 0.6")
                     .replace("codebook.k = 4", "codebook.k = 3"))
     code = main(["design", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "cannot select k=3 members from 2 candidates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ber", "design"])
+def test_fewer_samples_than_k_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "few.cfg"
+    path.write_text(SMALL_CONFIG.replace("candidates.m_samples = 40",
+                                         "candidates.m_samples = 4")
+                    .replace("codebook.k = 4", "codebook.k = 8"))
+    out = tmp_path / "o"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "candidates.m_samples must be >= codebook.k=8, got 4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_4(capsys, tmp_path, config_file):

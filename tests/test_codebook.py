@@ -449,6 +449,31 @@ def test_array_distance_matrix_answers_the_same_reads():
     assert np.array_equal(distances.block([3, 1, 8]), values[np.ix_([3, 1, 8], [3, 1, 8])])
 
 
+@st.composite
+def _symmetric_arrays(draw):
+    """Symmetric zero-diagonal arrays over 2 to 400 candidates; 400 take five
+    row blocks of 2**15 entries. A few integer levels tie often, one level
+    gives the all-zero matrix, and level 0 draws continuous floats."""
+    m = draw(st.integers(2, 400))
+    levels = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = rng.random((m, m)) if levels == 0 else rng.integers(0, levels, (m, m))
+    upper = np.triu(upper, k=1)
+    dtype = np.float64 if levels == 0 else draw(st.sampled_from([np.uint8, np.float64]))
+    return (upper + upper.T).astype(dtype)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symmetric_arrays())
+def test_array_reads_equal_the_masked_argmax_and_the_triangle_gather(values):
+    # The hand-built matrix scans row blocks for its farthest pair.
+    distances = DistanceMatrix(values, "response")
+    assert distances.farthest_pair() == _masked_greedy_pair(values.astype(float))
+    upper = distances.upper_triangle()
+    assert upper.dtype == values.dtype
+    assert np.array_equal(upper, values[np.triu_indices(len(values), k=1)])
+
+
 def test_farthest_pair_needs_two_candidates():
     part = partition(build_grid(2, 2, 0.5), GranularityMode.element())
     single = enumerate_candidates(part, 2, 1, 0.0, seed=0)

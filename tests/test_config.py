@@ -113,6 +113,16 @@ def test_validate_for_ber_requires_enough_configurations():
     assert any("fewer than k" in p for p in problems)
 
 
+def test_validate_for_ber_requires_k_samples_unless_only_fixed_ris_runs():
+    cfg = ExperimentConfig(m_samples=4, k=8)
+    assert validate(cfg) == []  # sweep caps k, so this is fine
+    assert validate(cfg, for_ber=True) == [
+        "candidates.m_samples must be >= codebook.k=8, got 4"]
+    # The fixed_ris baseline takes the four quadrants, not m_samples candidates.
+    assert validate(ExperimentConfig(m_samples=4, k=8, methods=("fixed_ris",)),
+                    for_ber=True) == []
+
+
 def test_validate_fixed_ris_constraints():
     base = dict(methods=("fixed_ris", "response_maxmin_greedy"))
     assert validate(ExperimentConfig(**base)) == []  # 8x8 with n_act=16 fits

@@ -9,7 +9,7 @@ import pytest
 
 from frisim import codebook, pipeline
 from frisim.codebook import load_codebook
-from frisim.config import ConfigError, ExperimentConfig, config_hash
+from frisim.config import ConfigError, ExperimentConfig, config_hash, validate
 from frisim.channel import load_response_map
 from frisim.geometry import GranularityMode, load_candidate_set
 from frisim.pipeline import (
@@ -175,17 +175,20 @@ class TestRunBer:
         assert [r[3] for r in tables["codebooks"].rows] == ["block:2x2"] * 2
 
     def test_short_candidate_pool_gives_one_error_row_per_mode_and_method(self):
+        # Two 1x2 (or 2x1) units at least 1.6 apart must sit in opposite
+        # corners, so the spacing rule leaves two candidates of 28.
         cfg = small_ber_config(
-            modes=(GranularityMode.element(), GranularityMode.group(2, 2)),
-            m_samples=2, k=3, seeds=(1,),
+            modes=(GranularityMode.group(1, 2), GranularityMode.group(2, 1)),
+            min_unit_spacing=1.6, k=3, seeds=(1,),
             methods=("random", "layout_maxmin", "response_maxmin_greedy",
                      "response_maxmin_exact"))
+        assert validate(cfg, for_ber=True) == []
         tables = run_ber(cfg)
         assert tables["codebooks"].rows == ()
         assert tables["ber_per_seed"].rows == ()
         assert tables["errors"].rows == tuple(
             ("codebook", mode, method, 1, "cannot select k=3 members from 2 candidates")
-            for mode in ("element", "group:2x2") for method in cfg.methods)
+            for mode in ("group:1x2", "group:2x1") for method in cfg.methods)
 
     def test_a_selector_bug_is_not_reported_as_infeasible(self, monkeypatch):
         def broken(distances, k):

@@ -161,8 +161,32 @@ def _module_level_private_names(tree: ast.Module) -> list[tuple[str, int]]:
             if name.startswith("_") and not name.startswith("__")]
 
 
+def _private_class_members(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(class, name, line) of every private method, class attribute and
+    ``self._name`` attribute a class in ``tree`` defines, dunders excepted."""
+    members = {}
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members.setdefault((cls.name, node.name), node.lineno)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        members.setdefault((cls.name, target.id), node.lineno)
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                members.setdefault((cls.name, node.attr), node.lineno)
+    return [(owner, name, line) for (owner, name), line in members.items()
+            if name.startswith("_") and not name.startswith("__")]
+
+
 def test_every_private_module_level_name_is_used():
-    """A helper that nothing under ``src/frisim`` reads is dead code."""
+    """A helper that nothing under ``src/frisim`` reads is dead code. That
+    holds for private module-level names, and for the private methods, class
+    attributes and ``self._name`` attributes of classes: a member counts as
+    read only where an expression loads an attribute of its name."""
     trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert trees, f"no sources under {SRC}"
     used = set()
@@ -176,4 +200,8 @@ def test_every_private_module_level_name_is_used():
                 used.update(alias.name for alias in node.names)
     dead = [f"{path.name}:{line} {name}" for path, tree in trees.items()
             for name, line in _module_level_private_names(tree) if name not in used]
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead += [f"{path.name}:{line} {owner}.{name}" for path, tree in trees.items()
+             for owner, name, line in _private_class_members(tree) if name not in read]
     assert not dead, f"private names nothing uses: {', '.join(dead)}"

@@ -16,10 +16,10 @@ from pathlib import Path
 from frisim._version import __version__
 from frisim.config import ConfigError, ExperimentConfig, load_config
 from frisim.geometry import InfeasibleConstraintError
-from frisim.pipeline import (SCENARIO_A_SEED_COUNT, SCENARIO_A_TRIALS,
-                             SCENARIO_B_TRIALS, design_artifacts, emit_table,
-                             reproduce_scenario_a, reproduce_scenario_b,
-                             run_ber, run_sweep)
+from frisim.pipeline import (SCENARIO_A_BASE_SEED, SCENARIO_A_SEED_COUNT,
+                             SCENARIO_A_TRIALS, SCENARIO_B_BASE_SEED, SCENARIO_B_TRIALS,
+                             design_artifacts, emit_table, reproduce_scenario_a,
+                             reproduce_scenario_b, run_ber, run_sweep)
 
 _TABLE_FILES = {
     "ber_per_seed": "ber_per_seed.csv",
@@ -71,14 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     repro_a = sub.add_parser("repro-a", help="regenerate the scenario A tables")
     repro_a.add_argument("--out", type=str, default="out/scenario_a")
-    repro_a.add_argument("--seed", type=_seed, default=1,
+    repro_a.add_argument("--seed", type=_seed, default=SCENARIO_A_BASE_SEED,
                          help="base seed for the channel seed list")
     repro_a.add_argument("--seed-count", type=int, default=SCENARIO_A_SEED_COUNT)
     repro_a.add_argument("--trials", type=int, default=SCENARIO_A_TRIALS)
 
     repro_b = sub.add_parser("repro-b", help="regenerate the scenario B table")
     repro_b.add_argument("--out", type=str, default="out/scenario_b")
-    repro_b.add_argument("--seed", type=_seed, default=7,
+    repro_b.add_argument("--seed", type=_seed, default=SCENARIO_B_BASE_SEED,
                          help="base seed for the estimation seed list")
     repro_b.add_argument("--trials", type=int, default=SCENARIO_B_TRIALS)
     return parser

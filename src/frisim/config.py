@@ -14,7 +14,8 @@ from pathlib import Path
 
 from frisim.channel import FADING_MODES, KERNELS, ChannelParams
 from frisim.codebook import METHOD_FIXED_RIS, SELECTION_METHODS
-from frisim.geometry import GranularityMode
+from frisim.geometry import (GranularityMode, InfeasibleConstraintError, active_unit_count,
+                             build_grid, partition)
 from frisim.seeding import TAG_CHANNEL, derive_seed
 from frisim.serialize import format_float
 
@@ -259,29 +260,19 @@ def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
     if c.keff_delta_frac < 0:
         problems.append("keff.delta_frac must be >= 0")
 
+    # The modes of a grid listed above as malformed are not checked.
     grid_ok = (c.grid_rows >= 1 and c.grid_cols >= 1 and c.grid_spacing > 0)
-    for mode in c.modes:
-        if c.grid_rows % mode.unit_rows or c.grid_cols % mode.unit_cols:
-            problems.append(
-                f"mode {mode.label} does not tile the {c.grid_rows}x{c.grid_cols} grid")
+    for mode in c.modes if grid_ok else ():
+        try:
+            part = partition(build_grid(c.grid_rows, c.grid_cols, c.grid_spacing), mode)
+            n_units = active_unit_count(part, c.n_act)
+        except InfeasibleConstraintError as exc:
+            problems.append(str(exc))
             continue
-        unit_size = mode.unit_rows * mode.unit_cols
-        unit_count = (c.grid_rows // mode.unit_rows) * (c.grid_cols // mode.unit_cols)
-        if c.n_act % unit_size:
-            problems.append(
-                f"n_act={c.n_act} is not a multiple of the {mode.label} unit size "
-                f"{unit_size}")
-            continue
-        n_units = c.n_act // unit_size
-        if n_units < 1 or n_units > unit_count:
-            problems.append(
-                f"n_act={c.n_act} needs {n_units} active {mode.label} units but the "
-                f"grid has {unit_count}")
-            continue
-        if for_ber and grid_ok and math.comb(unit_count, n_units) < c.k:
+        if for_ber and math.comb(part.unit_count, n_units) < c.k:
             problems.append(
                 f"mode {mode.label} admits at most "
-                f"{math.comb(unit_count, n_units)} configurations, fewer than k={c.k}")
+                f"{math.comb(part.unit_count, n_units)} configurations, fewer than k={c.k}")
 
     if METHOD_FIXED_RIS in c.methods:
         if c.grid_rows % 2 or c.grid_cols % 2:

@@ -151,11 +151,26 @@ def partition(grid: ApertureGrid, mode: GranularityMode) -> UnitPartition:
     gr, gc = mode.unit_rows, mode.unit_cols
     if grid.rows % gr or grid.cols % gc:
         raise InfeasibleConstraintError(
-            f"unit tile {gr}x{gc} does not divide grid {grid.rows}x{grid.cols}")
+            f"mode {mode.label} does not tile the {grid.rows}x{grid.cols} grid")
     tiles = np.arange(grid.n_elements).reshape(grid.rows // gr, gr, grid.cols // gc, gc)
     elements = tiles.transpose(0, 2, 1, 3).reshape(-1, gr * gc)
     elements.flags.writeable = False
     return UnitPartition(grid=grid, mode=mode, elements=elements)
+
+
+def active_unit_count(part: UnitPartition, n_act: int) -> int:
+    """Number of ``part``'s units that ``n_act`` active elements fill; an
+    ``n_act`` that is not a whole number of units, or that needs none or more
+    than the grid has, raises InfeasibleConstraintError."""
+    size, label = part.unit_size, part.mode.label
+    if n_act % size:
+        raise InfeasibleConstraintError(
+            f"n_act={n_act} is not a multiple of the unit size {size} of mode {label}")
+    n_units = n_act // size
+    if not 1 <= n_units <= part.unit_count:
+        raise InfeasibleConstraintError(f"n_act={n_act} needs {n_units} active {label} "
+                                        f"units but the grid has {part.unit_count}")
+    return n_units
 
 
 def unit_centroids(part: UnitPartition) -> np.ndarray:
@@ -234,7 +249,7 @@ def enumerate_candidates(
     enumerated exhaustively (and subsampled uniformly if more than
     ``m_samples`` sets are feasible); large spaces use seeded rejection
     sampling, which warns when its attempt budget ends short of
-    ``m_samples``. An ``n_act`` that no whole number of units covers raises
+    ``m_samples``. An ``n_act`` that ``active_unit_count`` rejects raises
     InfeasibleConstraintError. Output is sorted by active-unit tuple, so
     candidate ids are stable for a given argument/seed combination.
     """
@@ -246,15 +261,7 @@ def enumerate_candidates(
         raise ValueError(f"min_unit_spacing must be >= 0, got {min_unit_spacing}")
     if n_act < 1:
         raise ValueError(f"n_act must be >= 1, got {n_act}")
-    unit_size = part.unit_size
-    if n_act % unit_size:
-        raise InfeasibleConstraintError(
-            f"n_act={n_act} is not a multiple of the unit size {unit_size}")
-    n_units = n_act // unit_size
-    if n_units > part.unit_count:
-        raise InfeasibleConstraintError(
-            f"n_act={n_act} needs {n_units} active units but the partition has "
-            f"only {part.unit_count}")
+    n_units = active_unit_count(part, n_act)
 
     bad_pairs = None
     if min_unit_spacing > 0 and n_units >= 2:

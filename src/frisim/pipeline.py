@@ -167,34 +167,26 @@ class _ModeContext:
 
 
 def _mode_context(config: ExperimentConfig, grid: ApertureGrid, mode_idx: int,
-                  methods: tuple[str, ...]) -> _ModeContext:
-    """Candidates of ``config.modes[mode_idx]``, plus their layout distances
-    when ``methods`` holds layout_maxmin. A mode whose candidates cannot be
-    enumerated raises InfeasibleConstraintError."""
+                  methods: tuple[str, ...], seed: int) -> _ModeContext:
+    """Candidates of ``config.modes[mode_idx]``, drawn from ``seed``, plus
+    their layout distances when ``methods`` holds layout_maxmin. A mode whose
+    candidates cannot be enumerated raises InfeasibleConstraintError."""
     mode = config.modes[mode_idx]
     candidates = enumerate_candidates(
         partition(grid, mode), config.n_act, config.m_samples, config.min_unit_spacing,
-        seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, mode_idx))
+        seed=seed)
     layout = layout_distances(candidates) if METHOD_LAYOUT in methods else None
     return _ModeContext(mode_idx, mode.label, candidates, layout, methods)
 
 
-def _design_maps(config: ExperimentConfig, candidates: CandidateSet,
-                 realization: ChannelRealization, coupling: CouplingMatrix,
-                 map_seed: int) -> tuple[ResponseMap, ResponseMap | None, DistanceMatrix]:
+def _design(config: ExperimentConfig, ctx: _ModeContext, realization: ChannelRealization,
+            coupling: CouplingMatrix, map_seed: int
+            ) -> tuple[ResponseMap, ResponseMap | None, DistanceMatrix]:
     """Design map, true map (None when uncalibrated) and response distances
-    of ``candidates``, with calibration noise drawn from ``map_seed``."""
-    design_map, truth = build_design_maps(candidates, realization, coupling,
+    of ``ctx``'s candidates, with calibration noise drawn from ``map_seed``."""
+    design_map, truth = build_design_maps(ctx.candidates, realization, coupling,
                                           config.estimation_error_var, seed=map_seed)
     return design_map, truth, pairwise_distances(design_map)
-
-
-def _design(config: ExperimentConfig, ctx: _ModeContext, realization: ChannelRealization,
-            coupling: CouplingMatrix, seed: int
-            ) -> tuple[ResponseMap, ResponseMap | None, DistanceMatrix]:
-    """``_design_maps`` of ``ctx``'s candidates under run seed ``seed``."""
-    return _design_maps(config, ctx.candidates, realization, coupling,
-                        derive_seed(seed, TAG_MAP, ctx.index))
 
 
 def _select(config: ExperimentConfig, ctx: _ModeContext, method: str,
@@ -221,7 +213,9 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
     # A fixed_ris-only run reads none of the configured modes' pools.
     for mode_idx, mode in enumerate(config.modes if mode_methods else ()):
         try:
-            contexts.append(_mode_context(config, grid, mode_idx, mode_methods))
+            contexts.append(_mode_context(
+                config, grid, mode_idx, mode_methods,
+                derive_seed(config.candidate_seed, TAG_CANDIDATES, mode_idx)))
         except InfeasibleConstraintError as exc:
             error_rows.append(("candidates", mode.label, "", -1, str(exc)))
     if METHOD_FIXED_RIS in config.methods:
@@ -239,8 +233,8 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
     for seed in config.seeds:
         realization = draw_channel(grid, channel_params(config, seed))
         for ctx in contexts:
-            design_map, truth, distances = _design(config, ctx, realization, coupling,
-                                                   seed)
+            design_map, truth, distances = _design(
+                config, ctx, realization, coupling, derive_seed(seed, TAG_MAP, ctx.index))
             for method in ctx.methods:
                 try:
                     codebook = _select(config, ctx, method, distances, seed)
@@ -310,13 +304,12 @@ def run_sweep(config: ExperimentConfig) -> dict[str, ResultTable]:
     error_rows: list[tuple] = []
     for mode_idx, mode in enumerate(config.modes):
         try:
-            candidates = enumerate_candidates(
-                partition(grid, mode), config.n_act, config.m_samples,
-                config.min_unit_spacing,
-                seed=derive_seed(derive_seed(config.candidate_seed, mode_idx),
-                                 TAG_SWEEP_CANDIDATES))
-            rep = evaluate_mode(config, candidates, *_design_maps(
-                config, candidates, realization, coupling, map_seed))
+            ctx = _mode_context(
+                config, grid, mode_idx, (METHOD_GREEDY,),
+                derive_seed(derive_seed(config.candidate_seed, mode_idx),
+                            TAG_SWEEP_CANDIDATES))
+            rep = evaluate_mode(config, ctx.candidates,
+                                *_design(config, ctx, realization, coupling, map_seed))
         except InfeasibleConstraintError as exc:
             error_rows.append(("sweep", mode.label, METHOD_GREEDY, -1, str(exc)))
             continue
@@ -341,10 +334,12 @@ def design_artifacts(config: ExperimentConfig, out_dir) -> list[Path]:
                           "remove it from codebook.methods for the design command")
     grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
     coupling = coupling_matrix(grid, config.rho, config.kernel)
-    ctx = _mode_context(config, grid, 0, config.methods)
+    ctx = _mode_context(config, grid, 0, config.methods,
+                        derive_seed(config.candidate_seed, TAG_CANDIDATES, 0))
     seed = config.seeds[0]
     realization = draw_channel(grid, channel_params(config, seed))
-    design_map, _truth, distances = _design(config, ctx, realization, coupling, seed)
+    design_map, _truth, distances = _design(config, ctx, realization, coupling,
+                                            derive_seed(seed, TAG_MAP, 0))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -363,15 +358,17 @@ def design_artifacts(config: ExperimentConfig, out_dir) -> list[Path]:
 # fixed reference SNR.
 
 SCENARIO_A_SNR = tuple(-5.0 + 2.5 * i for i in range(11))
+SCENARIO_A_BASE_SEED = 1
 SCENARIO_A_SEED_COUNT = 200
 SCENARIO_A_TRIALS = 10_000
+SCENARIO_B_BASE_SEED = 7
 SCENARIO_B_TRIALS = 5_000
 SCENARIO_B_ESTIMATION_SEEDS = 4
 
 
 def scenario_a_config(*, seed_count: int = SCENARIO_A_SEED_COUNT,
                       trials: int = SCENARIO_A_TRIALS,
-                      base_seed: int = 1) -> ExperimentConfig:
+                      base_seed: int = SCENARIO_A_BASE_SEED) -> ExperimentConfig:
     return ExperimentConfig(
         grid_rows=8, grid_cols=8, grid_spacing=0.5,
         modes=(GranularityMode.element(),),
@@ -387,7 +384,7 @@ def scenario_a_config(*, seed_count: int = SCENARIO_A_SEED_COUNT,
 
 def reproduce_scenario_a(out_dir, *, seed_count: int = SCENARIO_A_SEED_COUNT,
                          trials: int = SCENARIO_A_TRIALS,
-                         base_seed: int = 1) -> dict[str, ResultTable]:
+                         base_seed: int = SCENARIO_A_BASE_SEED) -> dict[str, ResultTable]:
     """Run scenario A and write its CSV artifacts; returns the tables."""
     tables = run_ber(scenario_a_config(seed_count=seed_count, trials=trials,
                                        base_seed=base_seed))
@@ -401,7 +398,7 @@ def reproduce_scenario_a(out_dir, *, seed_count: int = SCENARIO_A_SEED_COUNT,
     return tables
 
 
-def scenario_b_config(*, base_seed: int = 7,
+def scenario_b_config(*, base_seed: int = SCENARIO_B_BASE_SEED,
                       trials: int = SCENARIO_B_TRIALS) -> ExperimentConfig:
     return ExperimentConfig(
         grid_rows=8, grid_cols=8, grid_spacing=0.5,
@@ -420,7 +417,7 @@ def scenario_b_config(*, base_seed: int = 7,
     )
 
 
-def reproduce_scenario_b(out_dir, *, base_seed: int = 7,
+def reproduce_scenario_b(out_dir, *, base_seed: int = SCENARIO_B_BASE_SEED,
                          trials: int = SCENARIO_B_TRIALS) -> dict[str, ResultTable]:
     """Run scenario B and write its CSV artifact; returns the tables."""
     tables = run_sweep(scenario_b_config(base_seed=base_seed, trials=trials))

@@ -48,8 +48,7 @@ def generate(root: Path, studies=STUDIES, entries=ENTRIES) -> dict[str, str]:
             definition.run(definition.build_input(entry, work),
                            root / entry_dir(study, entry))
     return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(root.rglob("*.csv"))
-            if not path.relative_to(root).as_posix().startswith("_inputs/")}
+            for path in sorted(root.rglob("*.csv"))}
 
 
 def compare(pinned: dict[str, str], actual: dict[str, str], studies=STUDIES,
@@ -65,8 +64,8 @@ def compare(pinned: dict[str, str], actual: dict[str, str], studies=STUDIES,
     return problems
 
 
-def load(path: Path = HASH_FILE) -> dict[str, str]:
-    return json.loads(path.read_text())
+def load() -> dict[str, str]:
+    return json.loads(HASH_FILE.read_text())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -262,9 +262,10 @@ def validate(config: ExperimentConfig, *, for_ber: bool = False) -> list[str]:
 
     # The modes of a grid listed above as malformed are not checked.
     grid_ok = (c.grid_rows >= 1 and c.grid_cols >= 1 and c.grid_spacing > 0)
+    grid = build_grid(c.grid_rows, c.grid_cols, c.grid_spacing) if grid_ok else None
     for mode in c.modes if grid_ok else ():
         try:
-            part = partition(build_grid(c.grid_rows, c.grid_cols, c.grid_spacing), mode)
+            part = partition(grid, mode)
             n_units = active_unit_count(part, c.n_act)
         except InfeasibleConstraintError as exc:
             problems.append(str(exc))

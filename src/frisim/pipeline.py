@@ -339,7 +339,7 @@ def design_artifacts(config: ExperimentConfig, out_dir) -> list[Path]:
     seed = config.seeds[0]
     realization = draw_channel(grid, channel_params(config, seed))
     design_map, _truth, distances = _design(config, ctx, realization, coupling,
-                                            derive_seed(seed, TAG_MAP, 0))
+                                            derive_seed(seed, TAG_MAP, ctx.index))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

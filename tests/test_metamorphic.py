@@ -18,19 +18,17 @@ scenario A seed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frisim.channel import (MapProvenance, ResponseMap, build_response_map,
-                            coupling_matrix, draw_channel)
-from frisim.codebook import pairwise_distances, select_maxmin_greedy
-from frisim.config import channel_params
+from frisim.channel import MapProvenance, ResponseMap, load_response_map
+from frisim.codebook import METHOD_GREEDY, pairwise_distances, select_maxmin_greedy
 from frisim.detection import noise_for_snr_db, simulate_ber_curve
-from frisim.geometry import build_grid, enumerate_candidates, partition
-from frisim.pipeline import SCENARIO_A_SNR, scenario_a_config
-from frisim.seeding import TAG_CANDIDATES, derive_seed
+from frisim.pipeline import SCENARIO_A_SNR, design_artifacts, scenario_a_config
 
 SCALES = (0.5, 2.0, 8.0)
 SMALL_SNR_DB = (-5.0, 0.0, 5.0, 10.0)
@@ -114,17 +112,12 @@ def test_scaling_the_map_scales_d_min_and_keeps_members_and_counts(pool, calibra
 
 
 @pytest.fixture(scope="module")
-def scenario_a_map() -> ResponseMap:
+def scenario_a_map(tmp_path_factory) -> ResponseMap:
     """The response map that scenario A designs on for its first seed."""
-    config = scenario_a_config(seed_count=1)
-    grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
-    candidates = enumerate_candidates(
-        partition(grid, config.modes[0]), config.n_act, config.m_samples,
-        config.min_unit_spacing, seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, 0))
-    realization = draw_channel(grid, channel_params(config, config.seeds[0]))
-    return build_response_map(candidates, realization,
-                              coupling_matrix(grid, config.rho, config.kernel),
-                              config.estimation_error_var, seed=0)
+    config = replace(scenario_a_config(seed_count=1), methods=(METHOD_GREEDY,))
+    out = tmp_path_factory.mktemp("scenario_a_design")
+    design_artifacts(config, out)
+    return load_response_map(out / "response_map.txt")
 
 
 @pytest.mark.parametrize("check", ["level_order", "matched_truth", "scale"])

@@ -3,16 +3,16 @@
     python3 tools/bench.py --parent <sha> --change HEAD --out BENCH_<n>.json
 
 Extracts both commits' files with ``git archive`` into temporary directories
-and runs ``python3 perfbench/run.py --trace 0`` in each, on every workload,
-once per pair. Pair i runs at workload seed i + 1 on both sides; even pairs
-run the parent first, odd pairs the change first, so a drift of the host's
-speed over the session falls on both sides alike. Each run's ``env`` line and
-last JSON line are parsed. The output file records the first run's ``env``
-record and, per workload and side, every run (seed, exit code, ``correct``,
-``attempted``, ``failed`` and its metrics) and, per metric, the median and
-quartiles over the runs. A run whose gate fails (exit 1) is kept; a run that
-prints no result (exit 2) is kept without metrics. Runs go one at a time,
-each ``--seconds`` long.
+and runs ``BENCHMARK.json``'s command with ``--trace 0`` in each, on each of
+its workloads for its ``run_seconds``, once per pair. Pair i runs at workload
+seed i + 1 on both sides; even pairs run the parent first, odd pairs the
+change first, so a drift of the host's speed over the session falls on both
+sides alike. Each run's ``env`` line and last JSON line are parsed. The output
+file records, per workload and side, every run (seed, exit code, ``env``
+record, ``correct``, ``attempted``, ``failed`` and its metrics) and, per
+metric, the median and quartiles over the runs. A run whose gate fails
+(exit 1) is kept; a run that prints no result (exit 2) is kept without
+metrics. Runs go one at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("ber_study", "design_screen")
+PAIRS = 10
 
 
 def parse_run_output(stdout: str) -> tuple[dict | None, dict | None]:
@@ -76,15 +76,14 @@ def _extract(sha: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
-    """One run's env record and its summary: seed, exit code and result."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+def _run(checkout: Path, command: list[str], seed: int) -> dict:
+    """One run's summary: seed, exit code, env record and result."""
+    proc = subprocess.run([*command, "--seed", str(seed)], cwd=checkout,
+                          capture_output=True, text=True)
     env, result = parse_run_output(proc.stdout)
-    return env, {"seed": seed, "exit_code": proc.returncode,
-                 **{key: (result or {}).get(key) for key in
-                    ("correct", "attempted", "failed", "metrics")}}
+    return {"seed": seed, "exit_code": proc.returncode, "env": env,
+            **{key: (result or {}).get(key) for key in
+               ("correct", "attempted", "failed", "metrics")}}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -92,33 +91,30 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
     parser.add_argument("--out", required=True, type=Path, help="BENCH file to write")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=int, default=55)
     args = parser.parse_args(argv)
-    seeds = [pair + 1 for pair in range(args.pairs)]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    command = [*spec["command"], "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seeds = [pair + 1 for pair in range(PAIRS)]
     shas = {"parent": _sha(args.parent), "change": _sha(args.change)}
-    runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
-    env = None
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="frisim-bench-") as tmp:
         checkouts = {side: Path(tmp) / side for side in shas}
         for side, sha in shas.items():
             _extract(sha, checkouts[side])
         for pair, seed in enumerate(seeds):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for workload in WORKLOADS:
+            for workload in workloads:
                 for side in order:
-                    run_env, run = _run(checkouts[side], workload, seed, args.seconds)
-                    env = env or run_env
+                    run = _run(checkouts[side], [*command, "--workload", workload], seed)
                     runs[workload][side].append(run)
                     print(f"pair {pair} {workload} {side}: exit {run['exit_code']}, "
                           f"failed {run['failed']}", flush=True)
     record = {
-        "command": "python3 perfbench/run.py --trace 0",
+        "command": command,
         "git": shas,
-        "pairs": args.pairs,
-        "seconds": args.seconds,
+        "pairs": PAIRS,
         "seeds": seeds,
-        "env": env,
         "workloads": {w: {side: {"metrics": summarise(side_runs), "runs": side_runs}
                           for side, side_runs in sides.items()}
                       for w, sides in runs.items()},

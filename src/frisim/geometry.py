@@ -28,6 +28,7 @@ EXHAUSTIVE_COMBO_LIMIT = 100_000
 # Rejection sampling gives up after this many draws per requested sample.
 _ATTEMPTS_PER_SAMPLE = 200
 _MIN_ATTEMPTS = 10_000
+_BATCH_DRAWS = 4096  # most draws one rejection-sampling batch makes
 
 
 class InfeasibleConstraintError(ValueError):
@@ -245,13 +246,13 @@ def enumerate_candidates(
 
     A configuration activates ``n_act / unit_size`` units whose pairwise
     centroid distances are all >= ``min_unit_spacing``; ``None`` applies the
-    mode's rule, ``default_min_unit_spacing(part.mode)``. Small unit spaces are
-    enumerated exhaustively (and subsampled uniformly if more than
-    ``m_samples`` sets are feasible); large spaces use seeded rejection
-    sampling, which warns when its attempt budget ends short of
-    ``m_samples``. An ``n_act`` that ``active_unit_count`` rejects raises
-    InfeasibleConstraintError. Output is sorted by active-unit tuple, so
-    candidate ids are stable for a given argument/seed combination.
+    mode's rule, ``default_min_unit_spacing(part.mode)``. Small unit spaces, and
+    any of at most ``m_samples`` subsets, are enumerated exhaustively (and
+    subsampled uniformly if more than ``m_samples`` sets are feasible); larger
+    spaces use seeded rejection sampling, which warns when its attempt budget
+    ends short of ``m_samples``. An ``n_act`` that ``active_unit_count``
+    rejects raises InfeasibleConstraintError. Output is sorted by active-unit
+    tuple, so candidate ids are stable for a given argument/seed combination.
     """
     if m_samples < 1:
         raise ValueError(f"m_samples must be >= 1, got {m_samples}")
@@ -271,8 +272,8 @@ def enumerate_candidates(
             bad_pairs = bad
 
     total_combos = math.comb(part.unit_count, n_units)
-    exhaustive = (part.unit_count <= EXHAUSTIVE_UNIT_LIMIT
-                  and total_combos <= EXHAUSTIVE_COMBO_LIMIT)
+    exhaustive = total_combos <= m_samples or (part.unit_count <= EXHAUSTIVE_UNIT_LIMIT
+                                               and total_combos <= EXHAUSTIVE_COMBO_LIMIT)
 
     if exhaustive:
         # combinations() is lexicographic, so every row subset below stays sorted
@@ -288,31 +289,17 @@ def enumerate_candidates(
             rng = np.random.default_rng(seed)
             chosen = chosen[np.sort(rng.choice(len(chosen), size=m_samples, replace=False))]
     else:
-        rng = np.random.default_rng(seed)
-        found: set[tuple[int, ...]] = set()
-        budget = max(_MIN_ATTEMPTS, _ATTEMPTS_PER_SAMPLE * m_samples)
-        attempts = 0
-        while len(found) < m_samples and attempts < budget:
-            attempts += 1
-            draw = rng.choice(part.unit_count, size=n_units, replace=False)
-            draw.sort()
-            key = tuple(draw.tolist())
-            # Adding a repeated draw to the set is a no-op, so only a spacing
-            # rule needs a test first.
-            if bad_pairs is None or (key not in found
-                                     and not bad_pairs[np.ix_(draw, draw)].any()):
-                found.add(key)
-        if not found:
+        chosen, attempts = _sample(part.unit_count, n_units, m_samples, bad_pairs, seed)
+        if not len(chosen):
             raise InfeasibleConstraintError(
                 f"min_unit_spacing={min_unit_spacing} rejected every one of "
                 f"{attempts} sampled {n_units}-unit subsets; the spacing rule is "
                 f"the binding constraint")
-        if len(found) < m_samples:
+        if len(chosen) < m_samples:
             warnings.warn(
                 f"rejection sampling requested {m_samples} candidates but found "
-                f"{len(found)} in {attempts} attempts; the candidate set is short",
+                f"{len(chosen)} in {attempts} attempts; the candidate set is short",
                 stacklevel=2)
-        chosen = np.array(sorted(found), dtype=np.intp)
 
     chosen.flags.writeable = False
     return CandidateSet(
@@ -321,6 +308,44 @@ def enumerate_candidates(
         seed=int(seed),
         min_unit_spacing=float(min_unit_spacing),
     )
+
+
+def _choice_rows(rng: np.random.Generator, n: int, k: int, count: int) -> np.ndarray:
+    """The sorted picks of ``count`` successive ``rng.choice(n, k, replace=False)``
+    calls. Save in its tail-shuffle branch, ``choice`` makes Floyd's k draws on
+    [0, j], j = n-k .. n-1 (a repeat takes j), then k-1 shuffle draws; one
+    ``integers`` call with those bounds per row makes the same draws."""
+    if n > 10_000 and k > n // 50:
+        return np.sort([rng.choice(n, k, replace=False) for _ in range(count)], axis=1)
+    bounds = np.r_[n - k + 1:n + 1, k:1:-1]
+    picks = rng.integers(0, np.broadcast_to(bounds, (count, 2 * k - 1)))[:, :k].T.copy()
+    for c in range(1, k):
+        picks[c, (picks[:c] == picks[c]).any(axis=0)] = n - k + c
+    picks.sort(axis=0)
+    return picks.T
+
+
+def _sample(unit_count: int, n_units: int, m_samples: int, bad_pairs, seed: int):
+    """The first ``m_samples`` distinct draws that no pair of ``bad_pairs`` rules
+    out, sorted, and the attempts spent. A batch covers what is still missing at
+    the yield so far; batch sizes do not change the stream."""
+    rng = np.random.default_rng(seed)
+    row = np.dtype((np.void, 8 * n_units))  # big-endian rows compare as tuples
+    found = np.empty(0, row)
+    budget = max(_MIN_ATTEMPTS, _ATTEMPTS_PER_SAMPLE * m_samples)
+    attempts = 0
+    while len(found) < m_samples and attempts < budget:
+        need = m_samples - len(found)
+        count = min(budget - attempts, _BATCH_DRAWS, need * -(-(attempts + 1) // (len(found) + 1)))
+        draws = _choice_rows(rng, unit_count, n_units, count)
+        keys = draws.astype(">i8", order="C").view(row).ravel()
+        first = np.unique(np.concatenate([found, keys]), return_index=True)[1] - len(found)
+        new = np.sort(first[first >= 0])  # first sightings, in draw order
+        if bad_pairs is not None:
+            new = new[~bad_pairs[draws[new, :, None], draws[new, None, :]].any(axis=(1, 2))]
+        attempts += int(new[need - 1]) + 1 if len(new) >= need else count
+        found = np.concatenate([found, keys[new[:need]]])
+    return np.sort(found).view(">i8").reshape(-1, n_units).astype(np.intp), attempts
 
 
 def min_pairwise_spacing(part: UnitPartition, units) -> float:

@@ -1,5 +1,6 @@
 """The BENCH writer's parser and summary, on a recorded ``perfbench/run.py``
-stdout (``--workload design_screen --seed 3 --seconds 2 --trace 0``)."""
+stdout (``--workload design_screen --seed 3 --seconds 2 --trace 0``), and its
+parent/change comparison on synthetic runs."""
 
 from __future__ import annotations
 
@@ -56,3 +57,33 @@ def test_summary_keeps_median_and_quartiles_per_metric(bench):
     single = bench.summarise([result])
     assert single["ops_ok_frac"] == {"unit": "ratio", "n": 1, "median": 1.0, "q1": 1.0,
                                      "q3": 1.0}
+
+
+def _runs(metric, values):
+    return [{"metrics": {metric: {"value": v, "unit": "1/s"}}} for v in values]
+
+
+END_TO_END = [{"name": "codebooks_per_s", "better": "higher", "bound": 0.25},
+              {"name": "wall_s", "better": "lower", "bound": 0.25}]
+
+
+def test_compare_counts_won_pairs_and_checks_the_iqr_and_the_bound(bench):
+    # Parent quartiles 2 and 4 (IQR 2, median 3); the change's median is 6.
+    parent = _runs("codebooks_per_s", [1.0, 2.0, 3.0, 4.0, 5.0])
+    change = _runs("codebooks_per_s", [1.0, 6.0, 6.0, 7.0, 4.0])
+    assert bench.compare(parent, change, END_TO_END) == {"codebooks_per_s": {
+        "pairs": 5, "pairs_won": 3, "parent_iqr": 2.0, "median_change": 3.0,
+        "gain_exceeds_iqr": True, "worse_than_bound": False}}
+
+
+def test_compare_reads_the_better_direction_and_skips_unpaired_runs(bench):
+    # Lower is better: the change's median 1.5 against the parent's 1.0 is
+    # worse by more than 25 %. The tie at 1.0 counts for neither side, and the
+    # fifth change run has no parent result to pair with.
+    parent = _runs("wall_s", [1.0, 1.0, 1.0, 1.0]) + [{"metrics": None}]
+    change = _runs("wall_s", [1.5, 1.0, 0.5, 1.5, 1.5])
+    assert bench.compare(parent, change, END_TO_END)["wall_s"] == {
+        "pairs": 4, "pairs_won": 1, "parent_iqr": 0.0, "median_change": 0.5,
+        "gain_exceeds_iqr": False, "worse_than_bound": True}
+    # A metric one side lacks is left out.
+    assert "codebooks_per_s" not in bench.compare(parent, change, END_TO_END)

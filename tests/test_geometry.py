@@ -1,10 +1,13 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frisim import geometry
 from frisim.geometry import (GranularityMode, InfeasibleConstraintError, build_grid,
                              default_min_unit_spacing, enumerate_candidates,
                              layout_distance, load_candidate_set,
@@ -149,30 +152,44 @@ def test_enumerate_warns_when_rejection_sampling_falls_short():
     assert set(_element_sets(cands)) == feasible
 
 
-def _draw_by_draw(part, n_units, m_samples, min_unit_spacing, seed):
-    """The rejection sampler written out one draw at a time: each draw is
-    sorted into a tuple and kept if it is new and meets the spacing rule.
-    Returns the kept tuples in order and the attempts spent."""
+def _bad_pairs(part, min_unit_spacing):
+    """Element-mode unit pairs closer than ``min_unit_spacing``; None when the
+    rule is off."""
+    if not min_unit_spacing:
+        return None
     pos = part.grid.positions[part.elements[:, 0]]
     bad = np.hypot(*(pos[:, None] - pos[None, :]).transpose(2, 0, 1)) < min_unit_spacing
     np.fill_diagonal(bad, False)
+    return bad
+
+
+def _draw_by_draw(unit_count, n_units, m_samples, bad, seed, budget=None):
+    """The rejection sampler written out one ``Generator.choice`` call per
+    draw: each draw is sorted into a tuple and kept if it is new and no pair
+    of ``bad`` rules it out. Returns the kept tuples, sorted, and the attempts
+    spent. ``budget`` defaults to the sampler's, max(10 000, 200 m_samples)."""
+    budget = max(10_000, 200 * m_samples) if budget is None else budget
     rng = np.random.default_rng(seed)
     found, attempts = set(), 0
-    while len(found) < m_samples and attempts < max(10_000, 200 * m_samples):
+    while len(found) < m_samples and attempts < budget:
         attempts += 1
-        draw = tuple(sorted(rng.choice(part.unit_count, size=n_units, replace=False).tolist()))
-        if draw not in found and not bad[np.ix_(draw, draw)].any():
+        draw = tuple(sorted(rng.choice(unit_count, size=n_units, replace=False).tolist()))
+        if draw not in found and (bad is None or not bad[np.ix_(draw, draw)].any()):
             found.add(draw)
     return sorted(found), attempts
+
+
+def _rows(cands):
+    return [tuple(row) for row in cands.units.tolist()]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 @pytest.mark.parametrize("n_act, spacing", [(4, 0.0), (8, 0.0), (4, 0.6), (8, 0.6)])
 def test_rejection_sampler_keeps_the_draw_by_draw_stream(seed, n_act, spacing):
     part = partition(build_grid(8, 8, 0.5), GranularityMode.element())
-    expect, _ = _draw_by_draw(part, n_act, 40, spacing, seed)
+    expect, _ = _draw_by_draw(64, n_act, 40, _bad_pairs(part, spacing), seed)
     cands = enumerate_candidates(part, n_act, 40, spacing, seed=seed)
-    assert [tuple(row) for row in cands.units.tolist()] == expect
+    assert _rows(cands) == expect
 
 
 @pytest.mark.parametrize("seed", [3, 5])
@@ -180,11 +197,87 @@ def test_rejection_sampler_shortfall_keeps_the_draw_by_draw_stream(seed):
     # Fourteen of 64 elements with no two adjacent: 10 000 attempts find
     # fewer than 40 such layouts.
     part = partition(build_grid(8, 8, 0.5), GranularityMode.element())
-    expect, attempts = _draw_by_draw(part, 14, 40, 0.6, seed)
+    expect, attempts = _draw_by_draw(64, 14, 40, _bad_pairs(part, 0.6), seed)
     assert attempts == 10_000 and len(expect) < 40
     with pytest.warns(UserWarning, match=f"found {len(expect)} in 10000 attempts"):
         cands = enumerate_candidates(part, 14, 40, 0.6, seed=seed)
-    assert [tuple(row) for row in cands.units.tolist()] == expect
+    assert _rows(cands) == expect
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batched_draws_replay_choice_bit_for_bit(data):
+    # Two chained batches give the sorted picks of the same number of
+    # choice() calls and leave the generator in the same state.
+    n = data.draw(st.integers(2, 80))
+    k = data.draw(st.integers(1, n))
+    count = data.draw(st.integers(2, 40))
+    split = data.draw(st.integers(1, count - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    one = np.random.default_rng(seed)
+    expect = [sorted(one.choice(n, k, replace=False).tolist()) for _ in range(count)]
+    batched = np.random.default_rng(seed)
+    got = np.concatenate([geometry._choice_rows(batched, n, k, split),
+                          geometry._choice_rows(batched, n, k, count - split)])
+    assert got.tolist() == expect
+    assert batched.bit_generator.state == one.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sampler_keeps_the_draw_by_draw_attempts_and_rows(data):
+    # Unit counts 2-80 on a 1-8 row grid of pitch 0.5, where a spacing of 0.6
+    # rules out neighbours. Small spaces run out of subsets, so the budget ends
+    # many runs; it is cut to max(2 000, 5 m) to keep those runs short.
+    n = data.draw(st.integers(2, 80))
+    rows = max(r for r in range(1, 9) if n % r == 0 and r * r <= n)
+    part = partition(build_grid(rows, n // rows, 0.5), GranularityMode.element())
+    k = data.draw(st.integers(1, n))
+    bad = _bad_pairs(part, data.draw(st.sampled_from([0.0, 0.6])))
+    m = data.draw(st.integers(1, 300))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    expect, attempts = _draw_by_draw(n, k, m, bad, seed, budget=max(2_000, 5 * m))
+    with mock.patch.multiple(geometry, _MIN_ATTEMPTS=2_000, _ATTEMPTS_PER_SAMPLE=5):
+        chosen, spent = geometry._sample(n, k, m, bad, seed)
+    assert ([tuple(row) for row in chosen.tolist()], spent) == (expect, attempts)
+
+
+def test_sampler_keeps_the_stream_through_many_repeated_draws():
+    # 200 of the 300 pairs of 25 units: later draws mostly repeat kept pairs.
+    part = partition(build_grid(5, 5, 0.5), GranularityMode.element())
+    expect, attempts = _draw_by_draw(25, 2, 200, None, 6)
+    assert len(expect) == 200 and attempts > 250
+    assert geometry._sample(25, 2, 200, None, 6)[1] == attempts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _rows(enumerate_candidates(part, 2, 200, 0.0, seed=6)) == expect
+
+
+@pytest.mark.parametrize("rows, cols, n_units", [
+    (100, 100, 201),  # 10 000 units: choice() runs Floyd's algorithm
+    (73, 137, 200),   # 10 001 units, but n_units <= 10 001 // 50: Floyd's algorithm
+    (73, 137, 201),   # 10 001 units and n_units > 10 001 // 50: choice()'s tail shuffle
+])
+def test_sampler_keeps_the_stream_on_both_sides_of_numpys_tail_shuffle(rows, cols, n_units):
+    part = partition(build_grid(rows, cols, 0.5), GranularityMode.element())
+    expect, attempts = _draw_by_draw(rows * cols, n_units, 3, None, 8)
+    assert attempts == 3
+    assert _rows(enumerate_candidates(part, n_units, 3, 0.0, seed=8)) == expect
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_space_no_larger_than_m_samples_is_listed_outright(seed):
+    # 25 subsets of 24 out of 25 units: the sampler finds them all, then
+    # spends its whole budget; listing them gives the same rows, unwarned.
+    part = partition(build_grid(5, 5, 0.5), GranularityMode.element())
+    expect, attempts = _draw_by_draw(25, 24, 40, None, seed)
+    assert len(expect) == 25 and attempts == 10_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _rows(enumerate_candidates(part, 24, 40, 0.0, seed=seed)) == expect
+        full = enumerate_candidates(partition(build_grid(8, 8, 0.5), GranularityMode.element()),
+                                    62, 4096, 0.0, seed=seed)
+    assert len(full) == math.comb(64, 62)
 
 
 def test_enumerate_is_deterministic():

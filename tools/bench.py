@@ -10,9 +10,11 @@ change first, so a drift of the host's speed over the session falls on both
 sides alike. Each run's ``env`` line and last JSON line are parsed. The output
 file records, per workload and side, every run (seed, exit code, ``env``
 record, ``correct``, ``attempted``, ``failed`` and its metrics) and, per
-metric, the median and quartiles over the runs. A run whose gate fails
-(exit 1) is kept; a run that prints no result (exit 2) is kept without
-metrics. Runs go one at a time.
+metric, the median and quartiles over the runs. Per workload, ``compare``
+holds the inputs of the claim rule for each of ``BENCHMARK.json``'s
+end-to-end metrics (see ``compare``). A run whose gate fails (exit 1) is
+kept; a run that prints no result (exit 2) is kept without metrics. Runs go
+one at a time.
 """
 
 from __future__ import annotations
@@ -62,6 +64,35 @@ def summarise(runs: list[dict]) -> dict:
         summary[name] = {"unit": units[name], "n": len(vals), "median": median,
                          "q1": q1, "q3": q3}
     return summary
+
+
+def compare(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric that both sides report, pairing the i-th run of
+    each side: the pairs the change won in the metric's ``better`` direction
+    (a tie counts for neither side), the parent's interquartile range, the
+    change's median minus the parent's, whether that moved the better way by
+    more than the parent's IQR, and whether it moved the worse way by more
+    than ``bound`` times the parent's median."""
+    summary = {"parent": summarise(parent), "change": summarise(change)}
+    out = {}
+    for spec in end_to_end:
+        name = spec["name"]
+        if name not in summary["parent"] or name not in summary["change"]:
+            continue
+        sign = 1 if spec["better"] == "higher" else -1
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for p, c in zip(parent, change)
+                 if name in (p.get("metrics") or {}) and name in (c.get("metrics") or {})]
+        base = summary["parent"][name]
+        iqr = base["q3"] - base["q1"]
+        delta = summary["change"][name]["median"] - base["median"]
+        out[name] = {"pairs": len(pairs),
+                     "pairs_won": sum(sign * (c - p) > 0 for p, c in pairs),
+                     "parent_iqr": iqr,
+                     "median_change": delta,
+                     "gain_exceeds_iqr": sign * delta > iqr,
+                     "worse_than_bound": -sign * delta > spec["bound"] * abs(base["median"])}
+    return out
 
 
 def _sha(rev: str) -> str:
@@ -115,8 +146,10 @@ def main(argv: list[str] | None = None) -> int:
         "git": shas,
         "pairs": PAIRS,
         "seeds": seeds,
-        "workloads": {w: {side: {"metrics": summarise(side_runs), "runs": side_runs}
-                          for side, side_runs in sides.items()}
+        "workloads": {w: {**{side: {"metrics": summarise(side_runs), "runs": side_runs}
+                             for side, side_runs in sides.items()},
+                          "compare": compare(sides["parent"], sides["change"],
+                                             spec["end_to_end"])}
                       for w, sides in runs.items()},
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

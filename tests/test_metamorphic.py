@@ -10,7 +10,11 @@ reference output:
 * multiplying the map (and the truth) by a power of two keeps the greedy
   members, multiplies ``d_min`` by exactly a^2 and leaves every count alone,
   because ``noise_for_snr_db`` scales with the received energy and a power of
-  two scales every float operation without rounding.
+  two scales every float operation without rounding;
+* permuting the map's rows maps the greedy members by the same permutation
+  and keeps ``d_min`` bit-identical, on a pool with no distance ties: a
+  pair's distance takes the same terms in the same order whichever of its
+  rows comes first, and only a tie would let the ids decide.
 
 Each holds on small random pools (hypothesis) and on the design of one
 scenario A seed.
@@ -22,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frisim.channel import MapProvenance, ResponseMap, load_response_map
@@ -77,6 +81,24 @@ def check_scale(design_map, k, snr_db, trials, seed, truth=None):
     return counts
 
 
+def has_distance_ties(design_map) -> bool:
+    distances = pairwise_distances(design_map).upper_triangle()
+    return len(np.unique(distances)) < len(distances)
+
+
+def check_relabelling(design_map, k, perm):
+    """Row i of the relabelled map is row ``perm[i]`` of ``design_map``."""
+    codebook = select_maxmin_greedy(pairwise_distances(design_map), k)
+    relabelled = select_maxmin_greedy(
+        pairwise_distances(_map_of(design_map.values[perm])), k)
+    new_id = np.argsort(perm)
+    mapped = [int(new_id[member]) for member in codebook.members]
+    # The farthest pair comes in ascending id order, so its two ids may swap.
+    assert set(relabelled.members[:2]) == set(mapped[:2])
+    assert list(relabelled.members[2:]) == mapped[2:]
+    assert relabelled.d_min == codebook.d_min
+
+
 @st.composite
 def _pools(draw):
     """A random complex map of 2-12 candidates on 1-4 antennas, a codebook
@@ -111,6 +133,15 @@ def test_scaling_the_map_scales_d_min_and_keeps_members_and_counts(pool, calibra
     check_scale(design_map, k, SMALL_SNR_DB, 400, seed, truth)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_pools(), st.data())
+def test_relabelling_the_rows_maps_the_members_and_keeps_d_min(pool, data):
+    design_map, k, _, _ = pool
+    assume(not has_distance_ties(design_map))
+    perm = data.draw(st.permutations(range(design_map.values.shape[0])))
+    check_relabelling(design_map, k, np.array(perm))
+
+
 @pytest.fixture(scope="module")
 def scenario_a_map(tmp_path_factory) -> ResponseMap:
     """The response map that scenario A designs on for its first seed."""
@@ -132,3 +163,9 @@ def test_relations_hold_on_a_scenario_a_seed(scenario_a_map, check):
         counts = check_scale(scenario_a_map, k, SCENARIO_A_SNR, trials, seed)
     # The low-SNR points must see errors, or the relation compares zeros only.
     assert counts[0] > 0
+
+
+def test_relabelling_holds_on_a_scenario_a_seed(scenario_a_map):
+    assert not has_distance_ties(scenario_a_map)
+    perm = np.random.default_rng(1).permutation(scenario_a_map.values.shape[0])
+    check_relabelling(scenario_a_map, 8, perm)

@@ -8,6 +8,7 @@ response is nearest to the observation.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,14 @@ from frisim.codebook import Codebook, pairwise_distances
 
 # Fixed simulation batch size; keeps draw order independent of trial count.
 _BATCH = 1 << 15
+
+# Relative slack of the reach test in simulate_ber_curve; see _skip_limits.
+_REACH_SLACK = 1e-9
+
+# Seed -> first batch of that seed's stream while a _shared_draws scope is
+# open: (generator state after the index draw, unit noise, state after the
+# noise). None outside every scope, so nothing outlives the scope.
+_draws: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,78 @@ def detect_index(y: np.ndarray, codebook_responses: np.ndarray) -> int:
                                     _embed(np.asarray(codebook_responses)))))
 
 
+@contextlib.contextmanager
+def _shared_draws():
+    """Within the block, simulate_ber_curve keeps the first batch of unit
+    noise it draws from each seed and hands it to a later call on that seed
+    whose generator stands in the same state after the index draw, then sets
+    the generator to the state after the kept draw. The noise is the one that
+    call would draw, so no result moves; the batches are freed on exit."""
+    global _draws
+    outer, _draws = _draws, {}
+    try:
+        yield
+    finally:
+        _draws = outer
+
+
+def _unit_noise(rng: np.random.Generator, seed: int, shape: tuple, first: bool) -> np.ndarray:
+    """``rng.standard_normal(shape)``, taken from the open _shared_draws
+    scope when it holds the same draw (see there)."""
+    if _draws is None or not first:
+        return rng.standard_normal(shape)
+    state = rng.bit_generator.state
+    kept = _draws.get(seed)
+    if kept is not None and kept[1].shape == shape and kept[0] == state:
+        rng.bit_generator.state = kept[2]
+        return kept[1]
+    noise = rng.standard_normal(shape)
+    if kept is None:
+        noise.flags.writeable = False
+        _draws[seed] = (state, noise, rng.bit_generator.state)
+    return noise
+
+
+def _skip_limits(offsets: np.ndarray, detect: np.ndarray,
+                 scales: np.ndarray) -> np.ndarray | None:
+    """Per transmitted index t, a squared unit-noise norm below which a trial
+    sending t is decided right, as computed, at every scale in ``scales``;
+    None when even the largest limit is below the mean 2R of ``||z||^2``, so
+    that the test would skip few trials.
+
+    With y = s_t + c z, the score gap between i and t is
+    ``mu_ti + c (p_i - p_t)``, where ``mu_ti = offsets[t, i] - offsets[t, t]``
+    and ``|p_i - p_t| = 2 |<z, d_i - d_t>| <= 2 ||z|| sqrt(D_ti)`` with
+    ``D_ti = ||d_i - d_t||^2`` (Cauchy-Schwarz). So every gap is positive
+    while ``c ||z|| < r_t = min_i mu_ti / (2 sqrt(D_ti))``, at every scale
+    below the largest. r_t is 0 when some ``mu_ti`` is not positive (a
+    calibrated truth, or a duplicate codeword).
+
+    Exactness. Each computed score (a length-R dot product and a sum for p_i,
+    then a scale and an add) lies within ``(2R + 8) 2^-53 (c ||z|| (||d_i|| +
+    ||d_t||) + |offsets[t, i]| + |offsets[t, t]|)`` of its exact value on the
+    stored offsets, noise and scale. Shrinking ``mu_ti`` by _REACH_SLACK times
+    the offsets' magnitudes and widening ``2 sqrt(D_ti)`` by _REACH_SLACK
+    times the norms covers that error and the rounding of mu, D and the norms
+    themselves (relative (2R + 4) 2^-53, and sqrt(D_ti) <= ||d_i|| +
+    ||d_t||): both are far below 1e-9 for any antenna count in use (squares
+    in the normal float range assumed). The limit r_t^2 / c^2 is shrunk by a
+    further _REACH_SLACK against the rounding of ||z||^2 and of the limit
+    itself. A trial below its limit therefore has every computed score above
+    its own, so its computed argmin is t.
+    """
+    norms = np.sqrt(np.sum(detect * detect, axis=1))
+    own = np.diag(offsets)[:, None]
+    diff = detect[None, :, :] - detect[:, None, :]
+    num = (offsets - own) - _REACH_SLACK * (np.abs(offsets) + np.abs(own))
+    den = 2.0 * np.sqrt(np.sum(diff * diff, axis=2)) + _REACH_SLACK * (norms + norms[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(num > 0, num / den, 0.0)
+    np.fill_diagonal(reach, np.inf)
+    limits = (reach.min(axis=1) / scales.max()) ** 2 * (1.0 - _REACH_SLACK)
+    return limits if limits.max() > detect.shape[1] else None
+
+
 def simulate_ber_curve(codebook: Codebook, response_map: ResponseMap, noise_levels,
                        trials: int, seed: int,
                        truth: ResponseMap | None = None) -> list[BerEstimate]:
@@ -69,6 +150,11 @@ def simulate_ber_curve(codebook: Codebook, response_map: ResponseMap, noise_leve
     falls, and the estimates of one call are correlated. ``truth`` supplies
     the responses actually transmitted when the detector's map is a perturbed
     calibration of reality; it defaults to the detector's own map.
+
+    Reach test: a trial whose noise is too small to flip its decision at the
+    noisiest level is right at every level and is not scored (see
+    _skip_limits, which also decides from the codebook and the levels whether
+    the test runs at all).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -76,6 +162,8 @@ def simulate_ber_curve(codebook: Codebook, response_map: ResponseMap, noise_leve
         if not (n0 > 0):
             raise ValueError(f"noise_n0 must be positive, got {n0}")
     scales = np.sqrt(np.asarray(noise_levels, dtype=float) / 2.0)
+    if not scales.size:
+        return []
     members = list(codebook.members)
     k = len(members)
     r = response_map.values.shape[1]
@@ -87,6 +175,7 @@ def simulate_ber_curve(codebook: Codebook, response_map: ResponseMap, noise_leve
     offsets = _ml_scores(source, detect)
     detect_re_t = detect[:, :r].T
     detect_im_t = detect[:, r:].T
+    limits = _skip_limits(offsets, detect, scales)
 
     rng = np.random.default_rng(seed)
     errors = np.zeros(len(scales), dtype=np.int64)
@@ -95,7 +184,13 @@ def simulate_ber_curve(codebook: Codebook, response_map: ResponseMap, noise_leve
         n = min(_BATCH, trials - done)
         true_idx = rng.integers(0, k, size=n)
         # Real parts, then imaginary parts: the stream order of a complex draw.
-        noise = rng.standard_normal((2, n, r))
+        noise = _unit_noise(rng, seed, (2, n, r), done == 0)
+        if limits is not None:
+            left = np.flatnonzero(np.einsum("tnr,tnr->n", noise, noise) >= limits[true_idx])
+            # numpy takes a one-row product through gemv, which rounds unlike
+            # the batch's gemm, so a lone trial is scored with its batch.
+            if left.size != 1:
+                true_idx, noise = true_idx[left], noise[:, left]
         base = offsets[true_idx]
         proj = -2.0 * (noise[0] @ detect_re_t + noise[1] @ detect_im_t)
         for j, scale in enumerate(scales):

@@ -23,8 +23,8 @@ from frisim.config import (ConfigError, ExperimentConfig, channel_params, config
                            require_valid)
 # simulate_ber is not called here; the binding stays because the benchmark's
 # tracer (perfbench/tracing.py) and its tests look it up on this module.
-from frisim.detection import (BerEstimate, noise_for_snr_db, simulate_ber,  # noqa: F401
-                              simulate_ber_curve)
+from frisim.detection import (BerEstimate, _shared_draws, noise_for_snr_db,  # noqa: F401
+                              simulate_ber, simulate_ber_curve)
 from frisim.geometry import (ApertureGrid, CandidateSet, GranularityMode,
                              InfeasibleConstraintError, build_grid, enumerate_candidates,
                              partition, save_candidate_set)
@@ -302,19 +302,22 @@ def run_sweep(config: ExperimentConfig) -> dict[str, ResultTable]:
     map_seed = derive_seed(realization.seed, TAG_SWEEP_MAP)
     sweep_rows: list[tuple] = []
     error_rows: list[tuple] = []
-    for mode_idx, mode in enumerate(config.modes):
-        try:
-            ctx = _mode_context(
-                config, grid, mode_idx, (METHOD_GREEDY,),
-                derive_seed(derive_seed(config.candidate_seed, mode_idx),
-                            TAG_SWEEP_CANDIDATES))
-            rep = evaluate_mode(config, ctx.candidates,
-                                *_design(config, ctx, realization, coupling, map_seed))
-        except InfeasibleConstraintError as exc:
-            error_rows.append(("sweep", mode.label, METHOD_GREEDY, -1, str(exc)))
-            continue
-        sweep_rows.append((mode.label, rep.unit_count, rep.k, rep.k_eff, rep.raw_bits,
-                           rep.overhead_fraction, rep.p_e, rep.net_bits))
+    # Every mode estimates its error rate on the same seeds, so each seed's
+    # unit noise is drawn once per sweep.
+    with _shared_draws():
+        for mode_idx, mode in enumerate(config.modes):
+            try:
+                ctx = _mode_context(
+                    config, grid, mode_idx, (METHOD_GREEDY,),
+                    derive_seed(derive_seed(config.candidate_seed, mode_idx),
+                                TAG_SWEEP_CANDIDATES))
+                rep = evaluate_mode(config, ctx.candidates,
+                                    *_design(config, ctx, realization, coupling, map_seed))
+            except InfeasibleConstraintError as exc:
+                error_rows.append(("sweep", mode.label, METHOD_GREEDY, -1, str(exc)))
+                continue
+            sweep_rows.append((mode.label, rep.unit_count, rep.k, rep.k_eff, rep.raw_bits,
+                               rep.overhead_fraction, rep.p_e, rep.net_bits))
     meta = _base_metadata(config)
     tables = {"sweep": ResultTable(SCHEMA_SWEEP, SWEEP_COLUMNS,
                                    tuple(sweep_rows), meta)}

@@ -7,7 +7,9 @@ import operator
 import numpy as np
 
 # Seed-path tags: the path element after the seed a stream derives from.
-# Each random consumer has its own tag, so no two consumers share a stream.
+# Each random consumer has its own tag. The granularity sweep's modes are the
+# exception: they share the TAG_SWEEP_BER detection streams and the
+# TAG_SWEEP_MAP calibration stream, since both derive from no mode index.
 # The values are part of every output's identity; changing one moves the CSVs.
 TAG_CHANNEL = 1
 TAG_MAP = 2

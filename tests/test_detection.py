@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frisim import detection
 from frisim.channel import MapProvenance, ResponseMap
-from frisim.codebook import (pairwise_distances, response_distance,
+from frisim.codebook import (Codebook, pairwise_distances, response_distance,
                              select_maxmin_greedy, select_random)
-from frisim.detection import (BerEstimate, detect_index,
-                              mean_pilot_energy, noise_for_snr_db,
-                              pairwise_error_prob, q_function, simulate_ber,
-                              simulate_ber_curve, union_bound)
+from frisim.detection import (_BATCH, BerEstimate, _shared_draws, _skip_limits,
+                              _unit_noise, detect_index, mean_pilot_energy,
+                              noise_for_snr_db, pairwise_error_prob, q_function,
+                              simulate_ber, simulate_ber_curve, union_bound)
 
 
 def _map_of(values) -> ResponseMap:
@@ -258,3 +261,144 @@ def test_noise_for_snr_db_rejects_zero_energy():
     cb = select_maxmin_greedy(pairwise_distances(rmap), 2)
     with pytest.raises(ValueError):
         noise_for_snr_db(cb, rmap, 0.0)
+
+
+def _scored_errors(values, levels, trials, seed, truth=None) -> list[int]:
+    """Error counts of simulate_ber_curve's scoring loop run on every trial,
+    with no reach test: the oracle of the skip."""
+    scales = np.sqrt(np.asarray(levels, dtype=float) / 2.0)
+    k, r = values.shape
+    detect = np.concatenate((values.real, values.imag), axis=-1)
+    source = detect if truth is None else np.concatenate((truth.real, truth.imag), axis=-1)
+    offsets = np.sum(detect ** 2, axis=1) - 2.0 * (source @ detect.T)
+    rng = np.random.default_rng(seed)
+    errors = np.zeros(len(scales), dtype=np.int64)
+    done = 0
+    while done < trials:
+        n = min(_BATCH, trials - done)
+        true_idx = rng.integers(0, k, size=n)
+        noise = rng.standard_normal((2, n, r))
+        base = offsets[true_idx]
+        proj = -2.0 * (noise[0] @ detect[:, :r].T + noise[1] @ detect[:, r:].T)
+        for j, scale in enumerate(scales):
+            errors[j] += np.count_nonzero(np.argmin(base + scale * proj, axis=1) != true_idx)
+        done += n
+    return errors.tolist()
+
+
+def _whole(values) -> tuple[Codebook, ResponseMap]:
+    """A codebook of every row of ``values``, and the map of those rows."""
+    return (Codebook(members=tuple(range(len(values))), selection_method="hand",
+                     d_min=0.0, bit_width=0.0), _map_of(values))
+
+
+def _simulated_errors(values, levels, trials, seed, truth=None) -> list[int]:
+    codebook, rmap = _whole(values)
+    return [est.errors for est in simulate_ber_curve(
+        codebook, rmap, levels, trials, seed, truth=None if truth is None else _map_of(truth))]
+
+
+@st.composite
+def _detection_cases(draw):
+    """Random codebooks with k in {2, 3, 5, 8}, some with a duplicate codeword
+    or a calibrated truth, at SNRs on both sides of the reach test's rule."""
+    k = draw(st.sampled_from([2, 3, 5, 8]))
+    r = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
+    if draw(st.booleans()):
+        values[-1] = values[0]  # D = 0
+    sigma = draw(st.sampled_from([0.0, 0.1, 1.0]))  # 1.0 makes some mu negative
+    truth = (values + sigma * (rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r)))
+             if sigma else None)
+    energy = float(np.mean(np.sum(np.abs(values) ** 2, axis=1)))
+    snrs = draw(st.lists(st.floats(-10.0, 40.0), max_size=4))
+    levels = [energy / (r * 10.0 ** (snr / 10.0)) for snr in snrs]
+    trials = draw(st.sampled_from([1, 2, 3, 500, _BATCH + 300]))
+    return values, truth, levels, trials, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_detection_cases())
+def test_reach_test_keeps_every_error_count_of_the_full_scoring(case):
+    values, truth, levels, trials, seed = case
+    assert _simulated_errors(values, levels, trials, seed, truth) == \
+        _scored_errors(values, levels, trials, seed, truth)
+
+
+def test_reach_test_runs_only_where_a_typical_trial_can_pass_it():
+    values = _random_instance(40, m=5, r=3).values
+    detect = np.concatenate((values.real, values.imag), axis=-1)
+    offsets = np.sum(detect ** 2, axis=1) - 2.0 * (detect @ detect.T)
+    quiet = _skip_limits(offsets, detect, np.array([1e-3, 1e-2]))
+    assert quiet is not None and quiet.max() > 6
+    assert _skip_limits(offsets, detect, np.array([1e-3, 3.0])) is None
+    # Duplicate codewords, or a truth nearer another codeword: limit 0.
+    twin = np.vstack((detect, detect[:1]))
+    twin_offsets = np.sum(twin ** 2, axis=1) - 2.0 * (twin @ twin.T)
+    limits = _skip_limits(twin_offsets, twin, np.array([1e-3]))
+    assert limits[0] == limits[-1] == 0.0 and limits[1:-1].min() > 0
+    swapped = offsets[[1, 0, 2, 3, 4]]  # sends codeword 1's response for index 0
+    assert _skip_limits(swapped, detect, np.array([1e-3]))[0] == 0.0
+    # Both sides give the full scoring's counts, over two batches.
+    for level_sets in ([1e-4, 5e-3], [1e-4, 3.0], []):
+        assert _simulated_errors(values, level_sets, _BATCH + 700, 4) == \
+            _scored_errors(values, level_sets, _BATCH + 700, 4)
+
+
+def test_reach_test_covers_every_level_not_only_the_quietest():
+    # At the quiet level nearly every trial is safe; at the loud one many err.
+    values = _random_instance(41, m=4, r=2).values
+    energy = float(np.mean(np.sum(np.abs(values) ** 2, axis=1)))
+    levels = [energy / (2 * 10.0 ** 4.0), energy / 2.0]
+    counts = _simulated_errors(values, levels, 4000, 6)
+    assert counts == _scored_errors(values, levels, 4000, 6)
+    assert counts[1] > 100
+
+
+def test_reach_test_keeps_the_trials_on_a_decision_boundary():
+    # Two codewords, 0 and a = -2 c z (1 + delta) for one trial's unit noise
+    # z sending index 1 at scale c = 1: that trial lands within a few ulps of
+    # the boundary, where the computed argmin depends on rounding. The
+    # slack must keep such a trial for scoring, never skip it.
+    seed, trials = 3, 256
+    rng = np.random.default_rng(seed)
+    sent = rng.integers(0, 2, trials)
+    noise = rng.standard_normal((2, trials, 1))[:, :, 0]
+    norms = noise[0] ** 2 + noise[1] ** 2
+    for j in np.flatnonzero((sent == 1) & (norms > 2.5)):
+        for ulps in range(-4, 40):
+            a = -2.0 * (1.0 + ulps * 2.0 ** -52) * complex(noise[0, j], noise[1, j])
+            values = np.array([[0j], [a]])
+            assert _simulated_errors(values, [2.0], trials, seed) == \
+                _scored_errors(values, [2.0], trials, seed), (j, ulps)
+
+
+def test_shared_draws_reuse_a_batch_only_from_the_same_generator_state():
+    shape = (2, 40, 3)
+
+    def after(k):
+        rng = np.random.default_rng(9)
+        if k:
+            rng.integers(0, k, size=40)
+        return rng
+
+    with _shared_draws():
+        first = after(8)
+        kept = _unit_noise(first, 9, shape, True)
+        # Lemire's draw never rejects on a power-of-two range, so k = 4
+        # leaves the generator where k = 8 does, and the batch is reused.
+        reused = after(4)
+        assert _unit_noise(reused, 9, shape, True) is kept
+        assert reused.bit_generator.state == first.bit_generator.state
+        # No index draw: another state, so the noise is drawn afresh.
+        fresh = after(0)
+        drawn = _unit_noise(fresh, 9, shape, True)
+        plain = after(0)
+        assert np.array_equal(drawn, plain.standard_normal(shape))
+        assert fresh.bit_generator.state == plain.bit_generator.state
+        # The same state with another shape draws afresh too.
+        other = after(8)
+        assert _unit_noise(other, 9, (2, 40, 2), True).shape == (2, 40, 2)
+        assert not kept.flags.writeable
+    assert detection._draws is None

@@ -1,18 +1,21 @@
+import contextlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from frisim import pipeline
+from frisim import detection, pipeline
 from frisim.channel import (MapProvenance, ResponseMap, build_design_maps, coupling_matrix,
                             draw_channel)
 from frisim.codebook import effective_size, pairwise_distances, select_maxmin_greedy
 from frisim.config import ConfigError, ExperimentConfig, channel_params
+from frisim.detection import _BATCH
 from frisim.geometry import (GranularityMode, InfeasibleConstraintError, build_grid,
                              enumerate_candidates, partition)
 from frisim.pipeline import run_sweep
-from frisim.seeding import TAG_SWEEP_CANDIDATES, TAG_SWEEP_MAP, derive_seed
+from frisim.seeding import (TAG_SWEEP_BER, TAG_SWEEP_CANDIDATES, TAG_SWEEP_MAP,
+                            TAG_SWEEP_SEEDS, derive_seed)
 from frisim.throughput import evaluate_mode, net_throughput, overhead_fraction
 
 
@@ -137,17 +140,51 @@ def test_evaluate_mode_needs_two_candidates():
         evaluate_mode(config, *_designed_pool(config, 0))
 
 
-def test_evaluate_mode_on_a_hand_built_design_equals_the_sweep_row():
+@pytest.mark.parametrize("k, ks", [(8, [8, 8, 4]), (5, [5, 5, 4])])
+def test_evaluate_mode_on_a_hand_built_design_equals_the_sweep_row(k, ks):
+    # The sweep shares each seed's noise between its modes; pricing a mode
+    # alone draws its own. k = 5 draws its indices on a range that is not a
+    # power of two; block:4x4 has 4 candidates, so its k is 4.
     config = _config(GranularityMode.element(), GranularityMode.group(2, 2),
                      GranularityMode.block(4, 4), m_samples=96, rx_antennas=3,
                      estimation_error_var=0.03, sweep_snr_db=3.0, trials=600,
-                     seeds=(2, 8))
+                     seeds=(2, 8), k=k)
     rows = run_sweep(config)["sweep"].rows
+    assert [row[2] for row in rows] == ks
     for mode_index in range(len(config.modes)):
         rep = evaluate_mode(config, *_designed_pool(config, mode_index))
         assert rows[mode_index] == (rep.mode.label, rep.unit_count, rep.k, rep.k_eff,
                                     rep.raw_bits, rep.overhead_fraction, rep.p_e,
                                     rep.net_bits)
+
+
+def test_sweep_shares_each_seeds_draws_only_while_it_runs(monkeypatch):
+    config = _config(GranularityMode.element(), GranularityMode.group(2, 2),
+                     GranularityMode.block(4, 4), m_samples=64, sweep_snr_db=3.0,
+                     trials=300, seeds=(3, 4))
+    held = []
+
+    def spying(*args):
+        report = evaluate_mode(*args)
+        held.append(sorted(detection._draws))
+        return report
+
+    monkeypatch.setattr(pipeline, "evaluate_mode", spying)
+    run_sweep(config)
+    seeds = sorted(derive_seed(derive_seed(s, TAG_SWEEP_SEEDS), TAG_SWEEP_BER)
+                   for s in config.seeds)
+    assert held == [seeds] * 3
+    assert detection._draws is None
+
+
+def test_sweep_over_two_batches_equals_the_sweep_without_shared_draws(monkeypatch):
+    config = _config(GranularityMode.element(), GranularityMode.group(2, 2),
+                     GranularityMode.block(4, 4), m_samples=64, sweep_snr_db=0.0,
+                     trials=_BATCH + 500, seeds=(5, 6))
+    shared = run_sweep(config)
+    monkeypatch.setattr(pipeline, "_shared_draws", contextlib.nullcontext)
+    assert run_sweep(config) == shared
+    assert all(0 < row[6] < 1 for row in shared["sweep"].rows)
 
 
 def _count_medians(distances, counts, key):

@@ -83,7 +83,8 @@ def _shared_draws():
 
 def _unit_noise(rng: np.random.Generator, seed: int, shape: tuple, first: bool) -> np.ndarray:
     """``rng.standard_normal(shape)``, taken from the open _shared_draws
-    scope when it holds the same draw (see there)."""
+    scope when it holds the same draw (see there). Only a call's ``first``
+    batch is kept or reused, so a scope holds one batch per seed."""
     if _draws is None or not first:
         return rng.standard_normal(shape)
     state = rng.bit_generator.state

@@ -140,22 +140,22 @@ def test_evaluate_mode_needs_two_candidates():
         evaluate_mode(config, *_designed_pool(config, 0))
 
 
-@pytest.mark.parametrize("k, ks", [(8, [8, 8, 4]), (5, [5, 5, 4])])
-def test_evaluate_mode_on_a_hand_built_design_equals_the_sweep_row(k, ks):
+def test_evaluate_mode_on_a_hand_built_design_equals_the_sweep_row():
     # The sweep shares each seed's noise between its modes; pricing a mode
     # alone draws its own. k = 5 draws its indices on a range that is not a
     # power of two; block:4x4 has 4 candidates, so its k is 4.
-    config = _config(GranularityMode.element(), GranularityMode.group(2, 2),
-                     GranularityMode.block(4, 4), m_samples=96, rx_antennas=3,
-                     estimation_error_var=0.03, sweep_snr_db=3.0, trials=600,
-                     seeds=(2, 8), k=k)
-    rows = run_sweep(config)["sweep"].rows
-    assert [row[2] for row in rows] == ks
-    for mode_index in range(len(config.modes)):
-        rep = evaluate_mode(config, *_designed_pool(config, mode_index))
-        assert rows[mode_index] == (rep.mode.label, rep.unit_count, rep.k, rep.k_eff,
-                                    rep.raw_bits, rep.overhead_fraction, rep.p_e,
-                                    rep.net_bits)
+    for k, ks in ((8, [8, 8, 4]), (5, [5, 5, 4])):
+        config = _config(GranularityMode.element(), GranularityMode.group(2, 2),
+                         GranularityMode.block(4, 4), m_samples=96, rx_antennas=3,
+                         estimation_error_var=0.03, sweep_snr_db=3.0, trials=600,
+                         seeds=(2, 8), k=k)
+        rows = run_sweep(config)["sweep"].rows
+        assert [row[2] for row in rows] == ks
+        for mode_index in range(len(config.modes)):
+            rep = evaluate_mode(config, *_designed_pool(config, mode_index))
+            assert rows[mode_index] == (rep.mode.label, rep.unit_count, rep.k, rep.k_eff,
+                                        rep.raw_bits, rep.overhead_fraction, rep.p_e,
+                                        rep.net_bits)
 
 
 def test_sweep_shares_each_seeds_draws_only_while_it_runs(monkeypatch):

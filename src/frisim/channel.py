@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from frisim.geometry import ApertureGrid, CandidateSet, UnitPartition, unit_ids
+from frisim.geometry import ApertureGrid, CandidateSet
 from frisim.seeding import row_normals
 from frisim.serialize import format_float, read_artifact, write_artifact
 
@@ -141,20 +141,6 @@ def coupling_matrix(grid: ApertureGrid, rho: float, kernel: str) -> CouplingMatr
     return CouplingMatrix(entries=entries, kernel=kernel, rho=float(rho))
 
 
-def effective_response(part: UnitPartition, units, realization: ChannelRealization,
-                       coupling: CouplingMatrix) -> np.ndarray:
-    """(R,) receive-side response of the candidate activating ``units`` of
-    ``part``, under coupling leakage."""
-    n = coupling.n_elements
-    if realization.n_elements != n or part.grid.n_elements != n:
-        raise ValueError("partition, realization and coupling matrix have different "
-                         "element counts")
-    mask = np.zeros(n)
-    mask[part.elements[unit_ids(part, units)]] = 1.0
-    drive = coupling.entries @ mask
-    return drive @ realization.cascaded
-
-
 @dataclass(frozen=True)
 class MapProvenance:
     channel_seed: int
@@ -209,9 +195,10 @@ def build_response_map(candidates: CandidateSet, realization: ChannelRealization
     if realization.n_elements != coupling.n_elements:
         raise ValueError("realization and coupling matrix have different element counts")
     # Stacked matrix-vector products: numpy runs every stack item through the
-    # same gemv kernel as effective_response's C @ mask and drive @ cascaded,
-    # so each row is bit-identical to it. One (M, N) @ (N, N) gemm would sum
-    # in another order and move the entries in the last bits.
+    # same gemv kernel as one candidate's C @ mask and drive @ cascaded (the
+    # effective_response of tests/oracles.py), so each row is bit-identical
+    # to it. One (M, N) @ (N, N) gemm would sum in another order and move the
+    # entries in the last bits.
     drive = np.matmul(coupling.entries[None], candidates.masks()[:, :, None])
     values = np.matmul(drive[:, None, :, 0], realization.cascaded[None])[:, 0, :]
     provenance = MapProvenance(channel_seed=realization.seed, rho=coupling.rho,

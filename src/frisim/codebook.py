@@ -151,22 +151,6 @@ class Codebook:
     seed: int | None = None
 
 
-def response_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean norm of the complex response difference, its
-    per-antenna terms summed in index order."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"response shapes differ: {a.shape} vs {b.shape}")
-    diff = (a - b).ravel()
-    # real**2 + imag**2 avoids the sqrt round-trip of abs()**2, so distances
-    # with exact integer values come out exact.
-    total = 0.0
-    for term in diff.real ** 2 + diff.imag ** 2:
-        total += term
-    return float(total)
-
-
 # Relative slack on the norm bound of farthest_pair; see the comment there.
 _PRUNE_SLACK = 1.0 + 1e-9
 
@@ -247,12 +231,12 @@ def pairwise_distances(response_map: ResponseMap) -> DistanceMatrix:
     """Response distances of ``response_map``'s candidates, as a view whose
     pair kernel works from the map's rows.
 
-    Every entry is bit-identical to response_distance on the same rows:
-    direct differencing (rather than a Gram-matrix expansion) gives the same
-    per-antenna terms, and they are added in the same index order. Swapping a
-    pair only flips the sign of its difference, so rows, blocks and the
-    mirrored half of ``values`` are exact too, and a candidate's distance to
-    itself is exactly 0.
+    Every entry is bit-identical to the one-pair response_distance of
+    tests/oracles.py on the same rows: direct differencing (rather than a
+    Gram-matrix expansion) gives the same per-antenna terms, and they are
+    added in the same index order. Swapping a pair only flips the sign of its
+    difference, so rows, blocks and the mirrored half of ``values`` are exact
+    too, and a candidate's distance to itself is exactly 0.
     """
     return _ResponseDistances(response_map)
 

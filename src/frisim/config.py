@@ -305,7 +305,6 @@ def channel_params(config: ExperimentConfig, seed: int) -> ChannelParams:
         tx_position=config.tx_position,
         rx_position=config.rx_position,
         rx_spacing=config.rx_spacing,
-        coupling_strength=config.rho,
         seed=derive_seed(seed, TAG_CHANNEL),
     )
 

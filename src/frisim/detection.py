@@ -59,13 +59,6 @@ def _ml_scores(received: np.ndarray, detect: np.ndarray) -> np.ndarray:
     return np.sum(detect ** 2, axis=1) - 2.0 * (received @ detect.T)
 
 
-def detect_index(y: np.ndarray, codebook_responses: np.ndarray) -> int:
-    """Index of the codeword response nearest to ``y`` by the ML rule that
-    simulate_ber_curve applies to every trial; ties pick the lowest."""
-    return int(np.argmin(_ml_scores(_embed(np.asarray(y)),
-                                    _embed(np.asarray(codebook_responses)))))
-
-
 @contextlib.contextmanager
 def _shared_draws():
     """Within the block, simulate_ber_curve keeps the first batch of unit

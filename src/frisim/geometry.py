@@ -348,25 +348,6 @@ def _sample(unit_count: int, n_units: int, m_samples: int, bad_pairs, seed: int)
     return np.sort(found).view(">i8").reshape(-1, n_units).astype(np.intp), attempts
 
 
-def min_pairwise_spacing(part: UnitPartition, units) -> float:
-    """Smallest centroid distance between distinct active units (inf if only one)."""
-    active = unit_ids(part, units)
-    if len(active) < 2:
-        return math.inf
-    dists = _centroid_distances(part)[np.ix_(active, active)]
-    iu = np.triu_indices(len(active), k=1)
-    return float(dists[iu].min())
-
-
-def layout_distance(part: UnitPartition, a, b) -> int:
-    """Number of elements active in exactly one of two candidates of ``part``.
-
-    Units are disjoint tiles of ``unit_size`` elements, so that is the unit
-    size times the number of units active in exactly one of them.
-    """
-    return part.unit_size * len(set(unit_ids(part, a)) ^ set(unit_ids(part, b)))
-
-
 def save_candidate_set(candidates: CandidateSet, path) -> None:
     """Write the structured text form consumed by the harness."""
     grid = candidates.grid

@@ -1,5 +1,6 @@
 """The BENCH writer's parser and summary, on a recorded ``perfbench/run.py``
-stdout (``--workload design_screen --seed 3 --seconds 2 --trace 0``), and its
+stdout (``--workload design_screen --seed 3 --seconds 2 --trace 0``), its
+reading of a run's gate problem from a synthetic stderr, and its
 parent/change comparison on synthetic runs."""
 
 from __future__ import annotations
@@ -46,6 +47,34 @@ def test_parser_returns_none_for_a_run_that_printed_no_result(bench):
     assert bench.parse_run_output("") == (None, None)
     env, result = bench.parse_run_output(RECORDED.rsplit("\n{", 1)[0] + "\n")
     assert env is not None and result is None
+
+
+# A synthetic stderr of a run whose pooled check tripped, followed by the
+# per-call lines run.py prints after it.
+GATE_STDERR = """\
+gate: pooled cell ('element', 'random', 0): 11 errors in 55000 trials, reference 0 (bound 10.9)
+call 0007: errors table: B element random 1 errors
+call 0012 raised:
+Traceback (most recent call last):
+"""
+
+
+def test_study_calls_come_from_the_summary_line(bench):
+    assert bench.study_calls(RECORDED) == 4
+    summary = "ber_study seed 12: 214 study calls, 6848 operations, 0 failed\n"
+    assert bench.study_calls(summary) == 214
+    assert bench.study_calls("") is None
+    assert bench.study_calls("error: no frisim sources\n") is None
+
+
+def test_gate_line_is_the_first_gate_or_call_problem(bench):
+    assert bench.gate_line(GATE_STDERR) == (
+        "gate: pooled cell ('element', 'random', 0): 11 errors in 55000 trials, "
+        "reference 0 (bound 10.9)")
+    crash = "Warning: something\ncall 0012 raised:\nTraceback (most recent call last):\n"
+    assert bench.gate_line(crash) == "call 0012 raised:"
+    assert bench.gate_line("") is None
+    assert bench.gate_line("error: worker timed out\n  gate: indented\n") is None
 
 
 def test_summary_keeps_median_and_quartiles_per_metric(bench):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from frisim.channel import (ChannelParams, CouplingMatrix, build_design_maps,
-                            build_response_map, coupling_matrix, draw_channel, effective_response,
+                            build_response_map, coupling_matrix, draw_channel,
                             load_response_map, save_response_map)
 from frisim.geometry import GranularityMode, build_grid, enumerate_candidates, partition
+from oracles import effective_response
 
 
 def _identity_coupling(grid):

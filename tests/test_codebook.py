@@ -11,13 +11,12 @@ from frisim.channel import (ChannelParams, MapProvenance, ResponseMap,
                             build_response_map, coupling_matrix, draw_channel)
 from frisim.codebook import (Codebook, DistanceMatrix, effective_size,
                              layout_distances, load_codebook,
-                             pairwise_distances, response_distance,
-                             save_codebook, select_codebook, select_layout_maxmin,
-                             select_maxmin_exact, select_maxmin_greedy,
-                             select_random, subset_d_min)
+                             pairwise_distances, save_codebook, select_codebook,
+                             select_layout_maxmin, select_maxmin_exact,
+                             select_maxmin_greedy, select_random, subset_d_min)
 from frisim.geometry import (CandidateSet, GranularityMode, InfeasibleConstraintError,
-                             build_grid, enumerate_candidates, layout_distance,
-                             partition)
+                             build_grid, enumerate_candidates, partition)
+from oracles import layout_distance, response_distance
 
 
 def _map_of(values) -> ResponseMap:

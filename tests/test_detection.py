@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from frisim import detection
 from frisim.channel import MapProvenance, ResponseMap
-from frisim.codebook import (Codebook, pairwise_distances, response_distance,
-                             select_maxmin_greedy, select_random)
+from frisim.codebook import (Codebook, pairwise_distances, select_maxmin_greedy,
+                             select_random)
 from frisim.detection import (_BATCH, BerEstimate, _shared_draws, _skip_limits,
-                              _unit_noise, detect_index, mean_pilot_energy,
-                              noise_for_snr_db, pairwise_error_prob, q_function,
-                              simulate_ber, simulate_ber_curve, union_bound)
+                              _unit_noise, mean_pilot_energy, noise_for_snr_db,
+                              pairwise_error_prob, q_function, simulate_ber,
+                              simulate_ber_curve, union_bound)
+from oracles import detect_index, response_distance
 
 
 def _map_of(values) -> ResponseMap:

@@ -57,3 +57,11 @@ def test_a_pooled_shift_that_grows_with_the_visits_fails_in_between(gate_margin)
                     if 100 * v > gate.error_bound(1000 * v, 100_000 * v))
     assert visits == expected
     assert 1 < visits <= 30
+
+
+def test_call_seconds_is_the_run_split_over_every_visit(gate_margin):
+    # 55 s over 32 entries visited 8 times each leaves 0.2148 s per call;
+    # one more visit each needs faster calls.
+    assert gate_margin.call_seconds(8, run_seconds=55, pool_size=32) == 55 / 256
+    assert gate_margin.call_seconds(9, run_seconds=55, pool_size=32) < 55 / 256
+    assert gate_margin.call_seconds(1, run_seconds=10, pool_size=4) == 2.5

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from frisim import geometry
 from frisim.geometry import (GranularityMode, InfeasibleConstraintError, build_grid,
                              default_min_unit_spacing, enumerate_candidates,
-                             layout_distance, load_candidate_set,
-                             min_pairwise_spacing, partition,
-                             save_candidate_set, unit_centroids)
+                             load_candidate_set, partition, save_candidate_set,
+                             unit_centroids)
+from oracles import layout_distance, min_pairwise_spacing
 
 
 def _element_sets(cands):

@@ -7,20 +7,24 @@ and runs ``BENCHMARK.json``'s command with ``--trace 0`` in each, on each of
 its workloads for its ``run_seconds``, once per pair. Pair i runs at workload
 seed i + 1 on both sides; even pairs run the parent first, odd pairs the
 change first, so a drift of the host's speed over the session falls on both
-sides alike. Each run's ``env`` line and last JSON line are parsed. The output
-file records, per workload and side, every run (seed, exit code, ``env``
-record, ``correct``, ``attempted``, ``failed`` and its metrics) and, per
-metric, the median and quartiles over the runs. Per workload, ``compare``
-holds the inputs of the claim rule for each of ``BENCHMARK.json``'s
-end-to-end metrics (see ``compare``). A run whose gate fails (exit 1) is
-kept; a run that prints no result (exit 2) is kept without metrics. Runs go
-one at a time.
+sides alike. Each run's ``env`` line, study-call count and last JSON line are
+parsed from its stdout, and its first gate or call problem from its stderr.
+The output file records, per workload and side, every run (seed, exit code,
+``env`` record, ``study_calls``, ``correct``, ``attempted``, ``failed``, its
+metrics, and ``gate``: the first stderr line that starts with ``gate:`` or
+``call ``, or None) and, per metric, the median and quartiles over the runs.
+Per workload, ``compare`` holds the inputs of the claim rule for each of
+``BENCHMARK.json``'s end-to-end metrics (see ``compare``). A run whose gate
+fails (exit 1) is kept, and its ``gate`` line tells a pooled check that
+tripped from a call that failed or raised; a run that prints no result
+(exit 2) is kept without metrics. Runs go one at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -29,6 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+
+# The summary line of a perfbench/run.py stdout: "<workload> seed <n>: <N> study calls, ..."
+_STUDY_CALLS = re.compile(r"^\S+ seed -?\d+: (\d+) study calls", re.M)
 
 
 def parse_run_output(stdout: str) -> tuple[dict | None, dict | None]:
@@ -47,6 +54,20 @@ def parse_run_output(stdout: str) -> tuple[dict | None, dict | None]:
     if not isinstance(result, dict) or "metrics" not in result:
         result = None
     return env, result
+
+
+def study_calls(stdout: str) -> int | None:
+    """The study-call count a ``perfbench/run.py`` stdout reports, or None."""
+    match = _STUDY_CALLS.search(stdout)
+    return int(match.group(1)) if match else None
+
+
+def gate_line(stderr: str) -> str | None:
+    """The first stderr line of a run that reports a gate or call problem:
+    one that starts with ``gate:`` (a pooled check failed) or ``call `` (one
+    call failed a check or raised); None if there is none."""
+    return next((line for line in stderr.splitlines()
+                 if line.startswith(("gate:", "call "))), None)
 
 
 def summarise(runs: list[dict]) -> dict:
@@ -108,13 +129,16 @@ def _extract(sha: str, dest: Path) -> None:
 
 
 def _run(checkout: Path, command: list[str], seed: int) -> dict:
-    """One run's summary: seed, exit code, env record and result."""
+    """One run's summary: seed, exit code, env record, study calls, result
+    and first gate or call problem."""
     proc = subprocess.run([*command, "--seed", str(seed)], cwd=checkout,
                           capture_output=True, text=True)
     env, result = parse_run_output(proc.stdout)
     return {"seed": seed, "exit_code": proc.returncode, "env": env,
+            "study_calls": study_calls(proc.stdout),
             **{key: (result or {}).get(key) for key in
-               ("correct", "attempted", "failed", "metrics")}}
+               ("correct", "attempted", "failed", "metrics")},
+            "gate": gate_line(proc.stderr)}
 
 
 def main(argv: list[str] | None = None) -> int:

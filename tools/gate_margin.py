@@ -10,12 +10,18 @@ replays ``gate.run_problems`` on those checks repeated v times, for v = 1 to
 30. A benchmark run that visits each entry v times pools exactly these
 counts, since every visit of an entry writes the same CSVs. Prints, per
 study, the first v that fails and its first problem, or that every v up to 30
-passes, and how many operations fail a single visit if any do. Edits
-nothing; a full pass takes about as long as ``output_hashes.py --check``.
+passes, and how many operations fail a single visit if any do. Beside a
+failing v it prints the time per study call at which a run of
+``BENCHMARK.json``'s ``run_seconds`` makes v visits per entry,
+``run_seconds / (POOL_SIZE * v)``. The run's set-up launches use part of
+its seconds, so the real threshold is somewhat lower: calls must be a
+little faster than that to reach v. Edits nothing; a full pass takes about
+as long as ``output_hashes.py --check``.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -27,6 +33,7 @@ import output_hashes  # noqa: E402  (puts src/ and perfbench/ on the path)
 import gate  # noqa: E402
 
 MAX_VISITS = 30
+RUN_SECONDS = json.loads((output_hashes.ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def first_failing_visits(study: str, checks: list,
@@ -38,6 +45,13 @@ def first_failing_visits(study: str, checks: list,
         if problems:
             return visits, problems
     return None, []
+
+
+def call_seconds(visits: int, run_seconds: float = RUN_SECONDS,
+                 pool_size: int = output_hashes.workloads.POOL_SIZE) -> float:
+    """Seconds per study call at which a run of ``run_seconds`` makes
+    ``visits`` visits to each of ``pool_size`` pool entries, set-up aside."""
+    return run_seconds / (pool_size * visits)
 
 
 def main() -> int:
@@ -52,7 +66,8 @@ def main() -> int:
             failed = sum(check.failed for check in checks)
             visits, problems = first_failing_visits(study, checks)
             line = f"{study}: "
-            line += (f"fails from {visits} visits per entry ({problems[0]})" if visits
+            line += (f"fails from {visits} visits per entry, reached by a {RUN_SECONDS} s run "
+                     f"at {call_seconds(visits):.3f} s per call ({problems[0]})" if visits
                      else f"passes at every visit count up to {MAX_VISITS}")
             if failed:
                 line += f"; {failed} operations fail a single visit"

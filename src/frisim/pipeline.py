@@ -31,8 +31,7 @@ from frisim.geometry import (ApertureGrid, CandidateSet, GranularityMode,
 # TAG_CHANNEL is not used here (config.channel_params derives the channel
 # seed); the benchmark's tests import it from this module.
 from frisim.seeding import (TAG_BER, TAG_CANDIDATES, TAG_CHANNEL, TAG_MAP,  # noqa: F401
-                            TAG_SELECT, TAG_SWEEP_CANDIDATES, TAG_SWEEP_MAP,
-                            TAG_SWEEP_SEEDS, derive_seed)
+                            TAG_SELECT, TAG_SWEEP_SEEDS, derive_seed)
 from frisim.serialize import format_float
 from frisim.throughput import evaluate_mode
 
@@ -290,16 +289,18 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
 def run_sweep(config: ExperimentConfig) -> dict[str, ResultTable]:
     """Granularity sweep at the reference SNR; returns ``sweep`` (+ ``errors``).
 
-    One channel realization, from the first seed, drives the design of every
-    mode; evaluate_mode prices each designed pool. An infeasible mode
+    Each mode is designed as run_ber designs it under the first seed: the
+    same candidates, channel realization and design map, so the sweep's greedy
+    codebook is run_ber's response_maxmin_greedy codebook for that seed.
+    evaluate_mode prices each designed pool. An infeasible mode
     (InfeasibleConstraintError) becomes an error row and the sweep goes on;
     any other error propagates. Rows keep the mode order.
     """
     require_valid(config, for_ber=False)
     grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
     coupling = coupling_matrix(grid, config.rho, config.kernel)
-    realization = draw_channel(grid, channel_params(config, config.seeds[0]))
-    map_seed = derive_seed(realization.seed, TAG_SWEEP_MAP)
+    seed = config.seeds[0]
+    realization = draw_channel(grid, channel_params(config, seed))
     sweep_rows: list[tuple] = []
     error_rows: list[tuple] = []
     # Every mode estimates its error rate on the same seeds, so each seed's
@@ -309,10 +310,9 @@ def run_sweep(config: ExperimentConfig) -> dict[str, ResultTable]:
             try:
                 ctx = _mode_context(
                     config, grid, mode_idx, (METHOD_GREEDY,),
-                    derive_seed(derive_seed(config.candidate_seed, mode_idx),
-                                TAG_SWEEP_CANDIDATES))
-                rep = evaluate_mode(config, ctx.candidates,
-                                    *_design(config, ctx, realization, coupling, map_seed))
+                    derive_seed(config.candidate_seed, TAG_CANDIDATES, mode_idx))
+                rep = evaluate_mode(config, ctx.candidates, *_design(
+                    config, ctx, realization, coupling, derive_seed(seed, TAG_MAP, mode_idx)))
             except InfeasibleConstraintError as exc:
                 error_rows.append(("sweep", mode.label, METHOD_GREEDY, -1, str(exc)))
                 continue

@@ -7,19 +7,19 @@ import operator
 import numpy as np
 
 # Seed-path tags: the path element after the seed a stream derives from.
-# Each random consumer has its own tag. The granularity sweep's modes are the
-# exception: they share the TAG_SWEEP_BER detection streams and the
-# TAG_SWEEP_MAP calibration stream, since both derive from no mode index.
+# Each random consumer has its own tag, and every design (run_ber, the sweep,
+# the design command) draws a mode's candidates and map on TAG_CANDIDATES and
+# TAG_MAP with the mode index. The sweep's modes share only the TAG_SWEEP_BER
+# detection streams, which derive from no mode index.
 # The values are part of every output's identity; changing one moves the CSVs.
+# 11 and 13, once the sweep's own map and candidate tags, stay retired.
 TAG_CHANNEL = 1
 TAG_MAP = 2
 TAG_SELECT = 3
 TAG_BER = 4
 TAG_CANDIDATES = 5
 TAG_SWEEP_SEEDS = 7
-TAG_SWEEP_MAP = 11
 TAG_SWEEP_BER = 12
-TAG_SWEEP_CANDIDATES = 13
 
 
 def derive_seed(*parts: int) -> int:

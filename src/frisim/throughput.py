@@ -21,7 +21,7 @@ from frisim.config import ExperimentConfig
 from frisim.detection import noise_for_snr_db, simulate_ber
 from frisim.geometry import (CandidateSet, GranularityMode, InfeasibleConstraintError,
                              UnitPartition)
-from frisim.seeding import TAG_SWEEP_BER, TAG_SWEEP_SEEDS, derive_seed
+from frisim.seeding import TAG_SWEEP_BER, derive_seed
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def evaluate_mode(config: ExperimentConfig, candidates: CandidateSet,
     n0 = noise_for_snr_db(codebook, design_map, config.sweep_snr_db)
     p_values = [
         simulate_ber(codebook, design_map, n0, config.trials,
-                     seed=derive_seed(derive_seed(s, TAG_SWEEP_SEEDS), TAG_SWEEP_BER),
+                     seed=derive_seed(s, TAG_SWEEP_BER),
                      truth=truth).p_hat
         for s in config.seeds
     ]

@@ -7,10 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from frisim import codebook, pipeline
+from frisim import codebook, pipeline, throughput
 from frisim.codebook import load_codebook
 from frisim.config import ConfigError, ExperimentConfig, config_hash, validate
-from frisim.channel import load_response_map
+from frisim.channel import build_design_maps, load_response_map
 from frisim.geometry import GranularityMode, load_candidate_set
 from frisim.pipeline import (
     BER_AGGREGATE_COLUMNS,
@@ -30,6 +30,7 @@ from frisim.pipeline import (
     scenario_b_config,
 )
 from frisim._version import __version__
+from frisim.seeding import TAG_MAP, derive_seed
 
 
 def small_ber_config(**overrides) -> ExperimentConfig:
@@ -310,6 +311,44 @@ class TestRunSweep:
             emit_table(run_sweep(cfg)["sweep"], out / "sweep.csv")
             paths.append(out / "sweep.csv")
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("estimation_error_var", [0.0, 0.05])
+    def test_greedy_codebooks_are_run_bers_for_the_first_seed(
+            self, tmp_path, monkeypatch, estimation_error_var):
+        cfg = small_ber_config(
+            grid_rows=8, grid_cols=8, n_act=8, m_samples=48,
+            modes=(GranularityMode.element(), GranularityMode.group(2, 2)),
+            methods=("response_maxmin_greedy",), estimation_error_var=estimation_error_var,
+            seeds=(3, 4), trials=100)
+        selected = []
+
+        def recording(distances, k):
+            selected.append(codebook.select_maxmin_greedy(distances, k))
+            return selected[-1]
+
+        monkeypatch.setattr(throughput, "select_maxmin_greedy", recording)
+        run_sweep(cfg)
+        from_ber = [d_min for seed, _method, _k, _mode, d_min in run_ber(cfg)["codebooks"].rows
+                    if seed == cfg.seeds[0]]
+        assert [book.d_min for book in selected] == from_ber
+        design_artifacts(cfg, tmp_path)
+        designed = load_codebook(tmp_path / "codebook_response_maxmin_greedy.txt")
+        assert (designed.members, designed.d_min) == (selected[0].members, selected[0].d_min)
+
+    def test_each_mode_of_a_calibrated_sweep_draws_its_own_map(self, monkeypatch):
+        cfg = small_ber_config(
+            modes=(GranularityMode.element(), GranularityMode.group(2, 2),
+                   GranularityMode.block(2, 2)),
+            estimation_error_var=0.05, trials=100, k=2)
+        map_seeds = []
+
+        def recording(*args, seed):
+            map_seeds.append(seed)
+            return build_design_maps(*args, seed=seed)
+
+        monkeypatch.setattr(pipeline, "build_design_maps", recording)
+        assert len(run_sweep(cfg)["sweep"].rows) == 3
+        assert map_seeds == [derive_seed(cfg.seeds[0], TAG_MAP, i) for i in range(3)]
 
 
 class TestDesignArtifacts:

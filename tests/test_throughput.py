@@ -14,8 +14,7 @@ from frisim.detection import _BATCH
 from frisim.geometry import (GranularityMode, InfeasibleConstraintError, build_grid,
                              enumerate_candidates, partition)
 from frisim.pipeline import run_sweep
-from frisim.seeding import (TAG_SWEEP_BER, TAG_SWEEP_CANDIDATES, TAG_SWEEP_MAP,
-                            TAG_SWEEP_SEEDS, derive_seed)
+from frisim.seeding import TAG_CANDIDATES, TAG_MAP, TAG_SWEEP_BER, derive_seed
 from frisim.throughput import evaluate_mode, net_throughput, overhead_fraction
 
 
@@ -93,17 +92,18 @@ def _config(*modes, **overrides):
 
 def _designed_pool(config, mode_index):
     """``config.modes[mode_index]``'s pool and its design, built step by step
-    with the sweep's seeds: candidates, design map, true map, distances."""
+    on run_ber's candidate and map seeds for ``config.seeds[0]``: candidates,
+    design map, true map, distances."""
     grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
     candidates = enumerate_candidates(
         partition(grid, config.modes[mode_index]), config.n_act, config.m_samples,
         config.min_unit_spacing,
-        seed=derive_seed(derive_seed(config.candidate_seed, mode_index),
-                         TAG_SWEEP_CANDIDATES))
+        seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, mode_index))
     realization = draw_channel(grid, channel_params(config, config.seeds[0]))
     design_map, truth = build_design_maps(
         candidates, realization, coupling_matrix(grid, config.rho, config.kernel),
-        config.estimation_error_var, seed=derive_seed(realization.seed, TAG_SWEEP_MAP))
+        config.estimation_error_var,
+        seed=derive_seed(config.seeds[0], TAG_MAP, mode_index))
     return candidates, design_map, truth, pairwise_distances(design_map)
 
 
@@ -171,8 +171,7 @@ def test_sweep_shares_each_seeds_draws_only_while_it_runs(monkeypatch):
 
     monkeypatch.setattr(pipeline, "evaluate_mode", spying)
     run_sweep(config)
-    seeds = sorted(derive_seed(derive_seed(s, TAG_SWEEP_SEEDS), TAG_SWEEP_BER)
-                   for s in config.seeds)
+    seeds = sorted(derive_seed(s, TAG_SWEEP_BER) for s in config.seeds)
     assert held == [seeds] * 3
     assert detection._draws is None
 

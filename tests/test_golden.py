@@ -82,7 +82,7 @@ CALIBRATED_SWEEP = ExperimentConfig(
     sweep_snr_db=5.0, trials=500, seeds=(3, 4))
 
 PINNED_CALIBRATED_SWEEP = {
-    "sweep.csv": "75cd50293357b146e48c644f7d85e12d4c546518cd8525ff05be5c024c9cbbec",
+    "sweep.csv": "bbae64497b53f24d661960e2100ee1ca435b2857870023ba94eb5175598ba920",
     "errors.csv": "9ab32e4d40f48941c54bf239510abfb2f5a198eb50b67428b6d444be5deeee7c",
 }
 
@@ -165,7 +165,7 @@ LOS_SWEEP = ExperimentConfig(
     m_samples=300, fading="los", kernel="exponential", rho=0.4, rx_antennas=7,
     estimation_error_var=0.02, k=6, sweep_snr_db=5.0, trials=800, seeds=(5, 9, 13))
 
-PINNED_LOS_SWEEP = "4abea191212d6f0221ba2819fdec0690cd86a75f4cd3c695ecb4e09c6e110da6"
+PINNED_LOS_SWEEP = "1b8cb1d3ec81732d6923d8c7281f1681a62595533dd9a9c997b7e5351c760d76"
 
 
 def test_los_sweep_matches_the_pinned_hash(tmp_path):

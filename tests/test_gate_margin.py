@@ -65,3 +65,63 @@ def test_call_seconds_is_the_run_split_over_every_visit(gate_margin):
     assert gate_margin.call_seconds(8, run_seconds=55, pool_size=32) == 55 / 256
     assert gate_margin.call_seconds(9, run_seconds=55, pool_size=32) < 55 / 256
     assert gate_margin.call_seconds(1, run_seconds=10, pool_size=4) == 2.5
+
+
+def test_a_stale_cell_in_one_entry_fails_a_run_on_that_entrys_eleventh_visit(gate_margin):
+    # One of 32 entries reads 1 error against a reference of 0 on every visit,
+    # as codebook_screen's stale cell does, so a run fails on that entry's
+    # eleventh visit: after 10 passes, in the timed order, plus its position.
+    gate = gate_margin.gate
+    cell = ("group:2x2", "response_maxmin_greedy", 0)
+    stale = 5
+    checks = {entry: _check(gate, cell, 200, int(entry == stale), 0) for entry in range(32)}
+    order = list(range(31, -1, -1))
+    position = order.index(stale)
+    timed = gate_margin.visited_entries(order, 1000, traced=False)
+    traced = gate_margin.visited_entries(order, 1000, traced=True)
+    assert timed[:33] == order + order[:1]
+    assert traced[:4] == [31, 31, 30, 30]
+    assert gate_margin.first_failing_call("codebook_screen", checks, timed) == \
+        10 * 32 + position + 1
+    # A traced run visits the entry twice per pair: the first call of pair
+    # 5 * 32 + position is the eleventh visit.
+    assert gate_margin.first_failing_call("codebook_screen", checks, traced) == \
+        2 * (5 * 32 + position) + 1
+    assert gate_margin.first_failing_call("codebook_screen", checks, timed[:320]) is None
+    # Counts below ``start`` are pooled but not reported.
+    far = {entry: _check(gate, cell, 200, 50, 0) for entry in range(32)}
+    assert gate_margin.first_failing_call("codebook_screen", far, timed) == 1
+    assert gate_margin.first_failing_call("codebook_screen", far, timed, start=32) == 32
+
+
+def test_seed_margins_replay_each_workloads_plan(gate_margin):
+    # Every entry matches its reference except one stale codebook_screen
+    # entry, so ber_study passes every count and design_screen fails where
+    # that entry's eleventh visit falls in the seed's plan; a traced run ends
+    # on the next even count.
+    gate = gate_margin.gate
+    stale = 7
+
+    def ber(entry):
+        check = gate.CallCheck()
+        for method, errors in (("response_maxmin_greedy", 10), ("layout_maxmin", 20),
+                               ("random", 30)):
+            check.add_cell(("element", method, 0), 1000, errors, errors)
+        return check
+
+    checks = {
+        "ber_study": {entry: ber(entry) for entry in range(32)},
+        "codebook_screen": {entry: _check(gate, ("element", "random", 0), 200,
+                                          int(entry == stale), 0) for entry in range(32)},
+        "granularity_sweep": {entry: _check(gate, ("element",), 20000, 3, 3)
+                              for entry in range(32)},
+    }
+    seed = 4
+    margins = gate_margin.seed_margins(checks, seed)
+    position = gate_margin.output_hashes.workloads.plan("design_screen", seed).index(stale)
+    assert margins == {
+        ("ber_study", "timed"): None,
+        ("ber_study", "traced"): None,
+        ("design_screen", "timed"): 10 * 32 + position + 1,
+        ("design_screen", "traced"): 2 * (5 * 32 + position) + 2,
+    }

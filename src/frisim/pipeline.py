@@ -166,25 +166,27 @@ class _ModeContext:
 
 
 def _mode_context(config: ExperimentConfig, grid: ApertureGrid, mode_idx: int,
-                  methods: tuple[str, ...], seed: int) -> _ModeContext:
-    """Candidates of ``config.modes[mode_idx]``, drawn from ``seed``, plus
-    their layout distances when ``methods`` holds layout_maxmin. A mode whose
-    candidates cannot be enumerated raises InfeasibleConstraintError."""
+                  methods: tuple[str, ...]) -> _ModeContext:
+    """Candidates of ``config.modes[mode_idx]``, drawn from the candidate seed
+    and the mode index, plus their layout distances when ``methods`` holds
+    layout_maxmin. A mode whose candidates cannot be enumerated raises
+    InfeasibleConstraintError."""
     mode = config.modes[mode_idx]
     candidates = enumerate_candidates(
         partition(grid, mode), config.n_act, config.m_samples, config.min_unit_spacing,
-        seed=seed)
+        seed=derive_seed(config.candidate_seed, TAG_CANDIDATES, mode_idx))
     layout = layout_distances(candidates) if METHOD_LAYOUT in methods else None
     return _ModeContext(mode_idx, mode.label, candidates, layout, methods)
 
 
 def _design(config: ExperimentConfig, ctx: _ModeContext, realization: ChannelRealization,
-            coupling: CouplingMatrix, map_seed: int
+            coupling: CouplingMatrix, seed: int
             ) -> tuple[ResponseMap, ResponseMap | None, DistanceMatrix]:
     """Design map, true map (None when uncalibrated) and response distances
-    of ``ctx``'s candidates, with calibration noise drawn from ``map_seed``."""
-    design_map, truth = build_design_maps(ctx.candidates, realization, coupling,
-                                          config.estimation_error_var, seed=map_seed)
+    of ``ctx``'s candidates, with calibration noise drawn under run seed ``seed``."""
+    design_map, truth = build_design_maps(
+        ctx.candidates, realization, coupling, config.estimation_error_var,
+        seed=derive_seed(seed, TAG_MAP, ctx.index))
     return design_map, truth, pairwise_distances(design_map)
 
 
@@ -212,9 +214,7 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
     # A fixed_ris-only run reads none of the configured modes' pools.
     for mode_idx, mode in enumerate(config.modes if mode_methods else ()):
         try:
-            contexts.append(_mode_context(
-                config, grid, mode_idx, mode_methods,
-                derive_seed(config.candidate_seed, TAG_CANDIDATES, mode_idx)))
+            contexts.append(_mode_context(config, grid, mode_idx, mode_methods))
         except InfeasibleConstraintError as exc:
             error_rows.append(("candidates", mode.label, "", -1, str(exc)))
     if METHOD_FIXED_RIS in config.methods:
@@ -232,8 +232,7 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
     for seed in config.seeds:
         realization = draw_channel(grid, channel_params(config, seed))
         for ctx in contexts:
-            design_map, truth, distances = _design(
-                config, ctx, realization, coupling, derive_seed(seed, TAG_MAP, ctx.index))
+            design_map, truth, distances = _design(config, ctx, realization, coupling, seed)
             for method in ctx.methods:
                 try:
                     codebook = _select(config, ctx, method, distances, seed)
@@ -289,9 +288,7 @@ def run_ber(config: ExperimentConfig) -> dict[str, ResultTable]:
 def run_sweep(config: ExperimentConfig) -> dict[str, ResultTable]:
     """Granularity sweep at the reference SNR; returns ``sweep`` (+ ``errors``).
 
-    Each mode is designed as run_ber designs it under the first seed: the
-    same candidates, channel realization and design map, so the sweep's greedy
-    codebook is run_ber's response_maxmin_greedy codebook for that seed.
+    Every mode is designed as run_ber designs it under the first seed, and
     evaluate_mode prices each designed pool. An infeasible mode
     (InfeasibleConstraintError) becomes an error row and the sweep goes on;
     any other error propagates. Rows keep the mode order.
@@ -299,8 +296,7 @@ def run_sweep(config: ExperimentConfig) -> dict[str, ResultTable]:
     require_valid(config, for_ber=False)
     grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
     coupling = coupling_matrix(grid, config.rho, config.kernel)
-    seed = config.seeds[0]
-    realization = draw_channel(grid, channel_params(config, seed))
+    realization = draw_channel(grid, channel_params(config, config.seeds[0]))
     sweep_rows: list[tuple] = []
     error_rows: list[tuple] = []
     # Every mode estimates its error rate on the same seeds, so each seed's
@@ -308,11 +304,9 @@ def run_sweep(config: ExperimentConfig) -> dict[str, ResultTable]:
     with _shared_draws():
         for mode_idx, mode in enumerate(config.modes):
             try:
-                ctx = _mode_context(
-                    config, grid, mode_idx, (METHOD_GREEDY,),
-                    derive_seed(config.candidate_seed, TAG_CANDIDATES, mode_idx))
+                ctx = _mode_context(config, grid, mode_idx, (METHOD_GREEDY,))
                 rep = evaluate_mode(config, ctx.candidates, *_design(
-                    config, ctx, realization, coupling, derive_seed(seed, TAG_MAP, mode_idx)))
+                    config, ctx, realization, coupling, config.seeds[0]))
             except InfeasibleConstraintError as exc:
                 error_rows.append(("sweep", mode.label, METHOD_GREEDY, -1, str(exc)))
                 continue
@@ -337,12 +331,10 @@ def design_artifacts(config: ExperimentConfig, out_dir) -> list[Path]:
                           "remove it from codebook.methods for the design command")
     grid = build_grid(config.grid_rows, config.grid_cols, config.grid_spacing)
     coupling = coupling_matrix(grid, config.rho, config.kernel)
-    ctx = _mode_context(config, grid, 0, config.methods,
-                        derive_seed(config.candidate_seed, TAG_CANDIDATES, 0))
+    ctx = _mode_context(config, grid, 0, config.methods)
     seed = config.seeds[0]
     realization = draw_channel(grid, channel_params(config, seed))
-    design_map, _truth, distances = _design(config, ctx, realization, coupling,
-                                            derive_seed(seed, TAG_MAP, ctx.index))
+    design_map, _truth, distances = _design(config, ctx, realization, coupling, seed)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -7,12 +7,10 @@ import operator
 import numpy as np
 
 # Seed-path tags: the path element after the seed a stream derives from.
-# Each random consumer has its own tag, and every design (run_ber, the sweep,
-# the design command) draws a mode's candidates and map on TAG_CANDIDATES and
-# TAG_MAP with the mode index. The sweep's modes share only the TAG_SWEEP_BER
-# detection streams, which derive from no mode index.
+# Each random consumer has its own tag. Every design draws a mode's candidates
+# and map on TAG_CANDIDATES and TAG_MAP with the mode index, so the sweep's
+# modes share only the TAG_SWEEP_BER detection streams. 11 and 13 are retired.
 # The values are part of every output's identity; changing one moves the CSVs.
-# 11 and 13, once the sweep's own map and candidate tags, stay retired.
 TAG_CHANNEL = 1
 TAG_MAP = 2
 TAG_SELECT = 3

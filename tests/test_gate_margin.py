@@ -81,16 +81,17 @@ def test_a_stale_cell_in_one_entry_fails_a_run_on_that_entrys_eleventh_visit(gat
     traced = gate_margin.visited_entries(order, 1000, traced=True)
     assert timed[:33] == order + order[:1]
     assert traced[:4] == [31, 31, 30, 30]
-    assert gate_margin.first_failing_call("codebook_screen", checks, timed) == \
+    assert gate_margin.first_failing_call("codebook_screen", checks, timed, start=1) == \
         10 * 32 + position + 1
     # A traced run visits the entry twice per pair: the first call of pair
     # 5 * 32 + position is the eleventh visit.
-    assert gate_margin.first_failing_call("codebook_screen", checks, traced) == \
+    assert gate_margin.first_failing_call("codebook_screen", checks, traced, start=1) == \
         2 * (5 * 32 + position) + 1
-    assert gate_margin.first_failing_call("codebook_screen", checks, timed[:320]) is None
+    assert gate_margin.first_failing_call("codebook_screen", checks, timed[:320],
+                                          start=1) is None
     # Counts below ``start`` are pooled but not reported.
     far = {entry: _check(gate, cell, 200, 50, 0) for entry in range(32)}
-    assert gate_margin.first_failing_call("codebook_screen", far, timed) == 1
+    assert gate_margin.first_failing_call("codebook_screen", far, timed, start=1) == 1
     assert gate_margin.first_failing_call("codebook_screen", far, timed, start=32) == 32
 
 

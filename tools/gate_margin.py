@@ -78,7 +78,7 @@ def visited_entries(order: list[int], calls: int, traced: bool) -> list[int]:
 
 
 def first_failing_call(study: str, checks: dict[int, gate.CallCheck],
-                       entries: list[int], start: int = 1) -> int | None:
+                       entries: list[int], start: int) -> int | None:
     """The smallest N >= ``start`` at which ``gate.run_problems`` fails on
     the checks of the first N ``entries`` visited; None if none."""
     pooled = gate.CallCheck()
